@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, as_complex_matrix, as_complex_vector
+from .matrix_core import DEFAULT_TOL, _modulus, as_complex_matrix, as_complex_vector
 
 __all__ = [
     "omega",
@@ -39,15 +39,19 @@ def omega_pow(h: int, k: int, e: int) -> complex:
     return cmath.exp(2j * cmath.pi * ((k * e) % h) / h)
 
 
+def _diagonal_index(n: int) -> np.ndarray:
+    # Entry (i, j) holds (j - i) mod n, the wrapped diagonal it lies on.
+    # Built in C order so that circulants indexed with it are too.
+    ar = np.arange(n)
+    idx = ar[None, :] - ar[:, None]
+    idx %= n
+    return idx
+
+
 def circulant_from_reference(r) -> np.ndarray:
     """The circulant matrix whose first row is ``r``."""
     ref = as_complex_vector(r)
-    n = ref.size
-    out = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            out[i, j] = ref[(j - i) % n]
-    return out
+    return ref[_diagonal_index(ref.size)]
 
 
 def recognize_circulant(c, tol: float = DEFAULT_TOL) -> np.ndarray | None:
@@ -59,12 +63,9 @@ def recognize_circulant(c, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     cm = as_complex_matrix(c)
     if cm.shape[0] != cm.shape[1]:
         raise ValueError(f"matrix must be square, got {cm.shape}")
-    n = cm.shape[0]
     ref = cm[0].copy()
-    for i in range(n):
-        for j in range(n):
-            if abs(cm[i, j] - ref[(j - i) % n]) > tol:
-                return None
+    if np.any(_modulus(cm - ref[_diagonal_index(ref.size)]) > tol):
+        return None
     return ref
 
 
@@ -103,12 +104,11 @@ def w_matrix(h: int, k: int, ell: int, variant: int) -> np.ndarray:
         raise ValueError(f"class position must be >= 1, got {ell}")
     if variant not in (1, 2):
         raise ValueError(f"variant must be 1 or 2, got {variant}")
-    out = np.empty((h, h), dtype=complex)
-    for i in range(1, h + 1):
-        for j in range(1, h + 1):
-            if variant == 1:
-                e = 1 + (i - ell) % h + (ell - j) % h
-            else:
-                e = (i - ell) % h + (ell + 1 - j) % h
-            out[i - 1, j - 1] = omega_pow(h, k, e)
-    return out
+    # Exponents of the column factor plus those of the row factor; omega_pow
+    # reduces k*e mod h, so the h values indexed by e mod h are exact.
+    idx = np.arange(1, h + 1)
+    if variant == 1:
+        e = 1 + np.add.outer((idx - ell) % h, (ell - idx) % h)
+    else:
+        e = np.add.outer((idx - ell) % h, (ell + 1 - idx) % h)
+    return np.array([omega_pow(h, k, m) for m in range(h)])[e % h]

@@ -4,8 +4,9 @@ Each subcommand reads matrices / partitions / chains from JSON files,
 dispatches to the library, and prints a result object on stdout.  Floats
 are rendered with 12 significant digits and dictionary key order is
 fixed, so output is byte-stable across runs.  Exit codes: 0 success,
-2 validation problem (malformed input, dimension or partition mismatch),
-1 internal numerical failure.
+2 validation problem (malformed input, numbers not representable as
+finite floats, dimension or partition mismatch), 1 internal numerical
+failure (including overflow of products and powers of valid input).
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
+    _pairs_from_json,
+    _pairs_to_json,
     matrix_from_json,
     matrix_to_json,
 )
@@ -140,10 +143,6 @@ def _render(value, parts: list[str]) -> None:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def _pair(z: complex) -> list[float]:
-    return [float(z.real), float(z.imag)]
-
-
 def _load_json(path: str):
     return json.loads(Path(path).read_text())
 
@@ -207,7 +206,7 @@ def _cmd_spectrum(args) -> dict:
     pred = mirsky_spectrum(a, part, args.tol)
     return {
         "zero_count": pred.zero_count,
-        "orbits": [[_pair(z) for z in orbit] for orbit in pred.root_orbits],
+        "orbits": [_pairs_to_json(orbit) for orbit in pred.root_orbits],
     }
 
 
@@ -241,7 +240,7 @@ def _cmd_circulant(args) -> dict:
         )
     if args.recognize is not None:
         ref = recognize_circulant(_load_matrix(args.recognize), args.tol)
-        return {"reference": None if ref is None else [_pair(z) for z in ref]}
+        return {"reference": None if ref is None else _pairs_to_json(ref)}
     if args.from_reference is not None:
         return {"matrix": matrix_to_json(circulant_from_reference(_load_vector(args.from_reference)))}
     if args.basic is not None:
@@ -282,7 +281,7 @@ def _cmd_zero_chains(args) -> dict:
                 "class": i,
                 "lengths": [r.length for r in reps],
                 "chains": [
-                    {"seed": [_pair(z) for z in r.seed], **chain_to_json(r.chain)}
+                    {"seed": _pairs_to_json(r.seed), **chain_to_json(r.chain)}
                     for r in reps
                 ],
             }
@@ -309,8 +308,12 @@ def _cmd_reconstruct(args) -> dict:
     rights = []
     lefts = []
     for entry in data["orbits"]:
-        ev = entry["eigenvalue"]
-        spectrum.append((complex(float(ev[0]), float(ev[1])), int(entry["length"])))
+        lam = _pairs_from_json([entry["eigenvalue"]], "orbit eigenvalue")[0]
+        try:
+            length = int(entry["length"])
+        except OverflowError as exc:
+            raise ValueError(f"orbit length is not an integer: {exc}") from exc
+        spectrum.append((lam, length))
         rights.append(chain_from_json(entry["right"]))
         lefts.append(chain_from_json(entry["left"]))
     a = reconstruct_from_chains(rights, lefts, spectrum, part, args.tol)

@@ -19,6 +19,8 @@ from .digraph import CyclicPartition, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
+    _finite,
+    _power_scale,
     as_complex_matrix,
     matrix_rank,
     norm_inf,
@@ -80,6 +82,15 @@ def _cycle_blocks(a: np.ndarray, part: CyclicPartition) -> BlockCycle:
     return BlockCycle(h=part.h, sizes=part.sizes, blocks=blocks)
 
 
+def _checked_cycle(a, part: CyclicPartition, tol: float) -> tuple[np.ndarray, BlockCycle]:
+    """``a`` as a complex matrix plus its cycle blocks, after the one
+    h-cyclicity check that every block-cycle entry point needs."""
+    am = as_complex_matrix(a)
+    if not is_h_cyclic(am, part, tol):
+        raise ValueError("matrix is not h-cyclic for the given partition")
+    return am, _cycle_blocks(am, part)
+
+
 def extract_blocks(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> BlockCycle:
     """Cycle blocks of an h-cyclic matrix in consecutive form.
 
@@ -87,12 +98,9 @@ def extract_blocks(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> BlockC
     it (which already guarantees that everything outside the block pattern
     is below tolerance).
     """
-    am = as_complex_matrix(a)
     if not part.is_consecutive:
         raise ValueError("partition must be consecutive; relabel first")
-    if not is_h_cyclic(am, part, tol):
-        raise ValueError("matrix is not h-cyclic for the given partition")
-    return _cycle_blocks(am, part)
+    return _checked_cycle(a, part, tol)[1]
 
 
 def assemble_blocks(blocks) -> np.ndarray:
@@ -133,7 +141,7 @@ def partial_product(bc: BlockCycle, i: int, p: int) -> np.ndarray:
         factor = bc.blocks[u]
         result = factor if result is None else result @ factor
     assert result is not None
-    return result
+    return _finite(result, f"product of {p} cycle blocks through class {i}")
 
 
 def block_diagonal_power(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
@@ -142,30 +150,23 @@ def block_diagonal_power(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> 
     A^h of a consecutive h-cyclic matrix is block diagonal; this verifies
     that the off-diagonal blocks vanish and that each diagonal block
     matches the corresponding cycle product, at a threshold scaled by
-    ``norm_inf(a) ** h``.  A violation raises :class:`NumericalError`,
-    signalling inconsistent input.
+    ``norm_inf(a) ** h`` (inf when that overflows).  A violation, or an
+    A^h that overflows, raises :class:`NumericalError`, signalling
+    inconsistent input or numerical breakdown.
     """
-    am = as_complex_matrix(a)
     if not part.is_consecutive:
         raise ValueError("partition must be consecutive; relabel first")
-    if not is_h_cyclic(am, part, tol):
-        raise ValueError("matrix is not h-cyclic for the given partition")
+    am, bc = _checked_cycle(a, part, tol)
     h = part.h
-    power = np.linalg.matrix_power(am, h)
-    thr = tol * max(1.0, norm_inf(am)) ** h
+    power = _finite(np.linalg.matrix_power(am, h), "A^h")
+    thr = tol * _power_scale(max(1.0, norm_inf(am)), h)
+    labels = part._labels
+    resid = float(np.max(np.abs(power[labels[:, None] != labels[None, :]]), initial=0.0))
+    if resid > thr:
+        raise NumericalError(f"off-diagonal blocks of A^h have residual {resid:.3e}")
     offsets = np.concatenate([[0], np.cumsum(part.sizes)])
-    bc = _cycle_blocks(am, part)
     out = []
     for i in range(h):
-        for j in range(h):
-            blk = power[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]]
-            if i == j:
-                continue
-            resid = float(np.max(np.abs(blk))) if blk.size else 0.0
-            if resid > thr:
-                raise NumericalError(
-                    f"off-diagonal block ({i + 1}, {j + 1}) of A^h has residual {resid:.3e}"
-                )
         diag = power[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]]
         expected = partial_product(bc, i + 1, h)
         resid = float(np.max(np.abs(diag - expected)))
@@ -209,16 +210,13 @@ def _hth_roots(lam: complex, h: int) -> tuple[complex, ...]:
 def mirsky_spectrum(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> SpectrumPrediction:
     """Predicted spectrum: n - h*m zeros and the h-th roots of the m
     nonzero eigenvalues of the cycle product B_1."""
-    am = as_complex_matrix(a)
-    if not is_h_cyclic(am, part, tol):
-        raise ValueError("matrix is not h-cyclic for the given partition")
-    bc = _cycle_blocks(am, part)
+    bc = _checked_cycle(a, part, tol)[1]
     b1 = partial_product(bc, 1, part.h)
     eigs = np.linalg.eigvals(b1)
     cutoff = tol * max(1.0, norm_inf(b1))
     nonzero = [complex(z) for z in eigs if abs(z) > cutoff]
     nonzero.sort(key=lambda z: (-abs(z), cmath.phase(z)))
-    zero_count = am.shape[0] - part.h * len(nonzero)
+    zero_count = part.n - part.h * len(nonzero)
     if zero_count < 0:
         raise NumericalError(
             "nonzero eigenvalue count exceeds what the block sizes allow; "
@@ -244,10 +242,7 @@ def nonsingular_structure_check(a, part: CyclicPartition, tol: float = DEFAULT_T
     hence h | n; that implication is asserted here because only a
     misclassified rank can break it.
     """
-    am = as_complex_matrix(a)
-    if not is_h_cyclic(am, part, tol):
-        raise ValueError("matrix is not h-cyclic for the given partition")
-    bc = _cycle_blocks(am, part)
+    bc = _checked_cycle(a, part, tol)[1]
     singular_blocks = []
     for i in range(1, part.h + 1):
         b = partial_product(bc, i, part.h)

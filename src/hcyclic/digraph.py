@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, as_complex_matrix
+from .matrix_core import DEFAULT_TOL, _modulus, as_complex_matrix
 
 __all__ = [
     "Digraph",
@@ -61,6 +61,39 @@ class Digraph:
     @property
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
+
+    @cached_property
+    def _potential_data(self) -> tuple[dict[int, int], list[tuple[list[int], int, int]], int]:
+        """BFS potentials on the underlying graph; the weakly connected
+        components, each as (members, least potential, span of potentials);
+        and the gcd of all arc discrepancies |pot(i) + 1 - pot(j)|."""
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n + 1)}
+        for i, j in self.arcs:
+            adj[i].append((j, 1))
+            adj[j].append((i, -1))
+        for v in adj:
+            adj[v].sort()
+        pot: dict[int, int] = {}
+        comps: list[tuple[list[int], int, int]] = []
+        for s in range(1, self.n + 1):
+            if s in pot:
+                continue
+            pot[s] = 0
+            members = [s]
+            queue = deque([s])
+            while queue:
+                u = queue.popleft()
+                for w, step in adj[u]:
+                    if w not in pot:
+                        pot[w] = pot[u] + step
+                        members.append(w)
+                        queue.append(w)
+            values = [pot[v] for v in members]
+            comps.append((sorted(members), min(values), max(values) - min(values) + 1))
+        g_all = 0
+        for i, j in self.arcs:
+            g_all = math.gcd(g_all, abs(pot[i] + 1 - pot[j]))
+        return pot, comps, g_all
 
 
 @dataclass(frozen=True)
@@ -103,24 +136,24 @@ class CyclicPartition:
 
     @property
     def is_consecutive(self) -> bool:
-        expected = 1
-        for cls in self.classes:
-            for v in cls:
-                if v != expected:
-                    return False
-                expected += 1
-        return True
+        # Classes are sorted and cover 1..n, so they are consecutive exactly
+        # when the class label never decreases along the vertices.
+        return bool(np.all(np.diff(self._labels) >= 0))
 
     @cached_property
-    def _class_lookup(self) -> dict[int, int]:
-        return {v: i + 1 for i, cls in enumerate(self.classes) for v in cls}
+    def _labels(self) -> np.ndarray:
+        # 0-based class index of each vertex, indexed by vertex - 1.
+        labels = np.empty(self.n, dtype=np.intp)
+        for c, cls in enumerate(self.classes):
+            labels[np.asarray(cls) - 1] = c
+        labels.flags.writeable = False
+        return labels
 
     def class_of(self, v: int) -> int:
         """1-based class index of vertex ``v``."""
-        try:
-            return self._class_lookup[v]
-        except KeyError:
-            raise ValueError(f"vertex {v} not in partition") from None
+        if v not in range(1, self.n + 1):
+            raise ValueError(f"vertex {v} not in partition")
+        return int(self._labels[v - 1]) + 1
 
     def alpha(self, i: int) -> int:
         """The class cycle: alpha(i) = i mod h + 1."""
@@ -137,45 +170,17 @@ class CyclicPartition:
 
 def digraph_of(a, tol: float = DEFAULT_TOL) -> Digraph:
     """Digraph of a square matrix: arc (i, j) iff |a_ij| > tol."""
+    arc = _arc_matrix(a, tol)
+    tails, heads = np.nonzero(arc)
+    return Digraph(n=arc.shape[0], arcs=frozenset(zip((tails + 1).tolist(), (heads + 1).tolist())))
+
+
+def _arc_matrix(a, tol: float) -> np.ndarray:
+    # The one arc decision, shared by digraph_of and is_h_cyclic.
     am = as_complex_matrix(a)
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")
-    n = am.shape[0]
-    arcs = frozenset(
-        (i + 1, j + 1) for i in range(n) for j in range(n) if abs(am[i, j]) > tol
-    )
-    return Digraph(n=n, arcs=arcs)
-
-
-def _potential_data(g: Digraph) -> tuple[dict[int, int], list[list[int]], int]:
-    """BFS potentials on the underlying graph, weakly connected components,
-    and the gcd of all arc discrepancies |pot(i) + 1 - pot(j)|."""
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.n + 1)}
-    for i, j in g.arcs:
-        adj[i].append((j, 1))
-        adj[j].append((i, -1))
-    for v in adj:
-        adj[v].sort()
-    pot: dict[int, int] = {}
-    comps: list[list[int]] = []
-    for s in range(1, g.n + 1):
-        if s in pot:
-            continue
-        pot[s] = 0
-        members = [s]
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for w, step in adj[u]:
-                if w not in pot:
-                    pot[w] = pot[u] + step
-                    members.append(w)
-                    queue.append(w)
-        comps.append(sorted(members))
-    g_all = 0
-    for i, j in g.sorted_arcs:
-        g_all = math.gcd(g_all, abs(pot[i] + 1 - pot[j]))
-    return pot, comps, g_all
+    return _modulus(am) > tol
 
 
 def cyclic_index(g: Digraph) -> int:
@@ -185,21 +190,17 @@ def cyclic_index(g: Digraph) -> int:
     returned value, where 0 means no constraint at all (any h is feasible
     as long as all h classes can be kept nonempty).
     """
-    return _potential_data(g)[2]
+    return g._potential_data[2]
 
 
 def feasible_h_values(g: Digraph) -> list[int]:
     """All h for which ``find_h_partition`` succeeds, in increasing order."""
-    pot, comps, idx = _potential_data(g)
+    _, comps, idx = g._potential_data
     if idx > 0:
         return [h for h in range(1, idx + 1) if idx % h == 0]
     # No cyclic constraint: components contribute disjoint potential
     # intervals, so classes can be kept nonempty up to the total span.
-    total = 0
-    for members in comps:
-        values = [pot[v] for v in members]
-        total += max(values) - min(values) + 1
-    return list(range(1, total + 1))
+    return list(range(1, sum(span for _, _, span in comps) + 1))
 
 
 def find_h_partition(g: Digraph, h: int) -> CyclicPartition | None:
@@ -213,15 +214,12 @@ def find_h_partition(g: Digraph, h: int) -> CyclicPartition | None:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    pot, comps, idx = _potential_data(g)
+    pot, comps, idx = g._potential_data
     if idx > 0 and idx % h != 0:
         return None
     labels: dict[int, int] = {}
     cursor = 0
-    for members in comps:
-        values = [pot[v] for v in members]
-        lo = min(values)
-        span = max(values) - lo + 1
+    for members, lo, span in comps:
         offset = cursor - lo
         for v in members:
             labels[v] = (pot[v] + offset) % h
@@ -238,18 +236,18 @@ def find_h_partition(g: Digraph, h: int) -> CyclicPartition | None:
 def is_h_cyclic(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> bool:
     """True iff every arc of the digraph of ``a`` runs from class V_i to
     class V_{i+1} of ``part`` (cyclically)."""
-    am = as_complex_matrix(a)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError(f"matrix must be square, got {am.shape}")
-    if part.n != am.shape[0]:
-        raise ValueError(
-            f"partition covers {part.n} vertices but matrix has order {am.shape[0]}"
-        )
-    g = digraph_of(am, tol)
-    for i, j in g.arcs:
-        if part.class_of(j) != part.alpha(part.class_of(i)):
-            return False
-    return True
+    arc = _arc_matrix(a, tol)
+    if part.n != arc.shape[0]:
+        raise ValueError(f"partition covers {part.n} vertices but matrix has order {arc.shape[0]}")
+    return not np.any(arc & ~_block_mask(part))
+
+
+def _block_mask(part: CyclicPartition) -> np.ndarray:
+    # Blockwise cyclic-shift mask: entry (u, v) is True exactly when the
+    # class of v follows the class of u around the cycle (for h = 1 that is
+    # every entry).
+    labels = part._labels
+    return labels[None, :] == (labels[:, None] + 1) % part.h
 
 
 def consecutive_permutation(part: CyclicPartition) -> tuple[int, ...]:
@@ -300,11 +298,11 @@ def partition_from_json(obj) -> CyclicPartition:
     """Parse the partition JSON schema produced by :func:`partition_to_json`."""
     if not isinstance(obj, dict):
         raise ValueError("partition JSON must be an object")
+    if not isinstance(obj.get("classes"), list):
+        raise ValueError("partition classes must be a list of index lists")
     try:
         h = int(obj["h"])
-        classes = obj["classes"]
-    except (KeyError, TypeError, ValueError) as exc:
+        classes = tuple(tuple(int(v) for v in cls) for cls in obj["classes"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed partition JSON: {exc}") from exc
-    if not isinstance(classes, list):
-        raise ValueError("partition classes must be a list of index lists")
-    return CyclicPartition(h=h, classes=tuple(tuple(int(v) for v in cls) for cls in classes))
+    return CyclicPartition(h=h, classes=classes)

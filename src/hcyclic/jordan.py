@@ -30,11 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import omega_pow
-from .cyclic_blocks import BlockCycle, _cycle_blocks, partial_product
-from .digraph import CyclicPartition, is_h_cyclic
+from .cyclic_blocks import BlockCycle, _checked_cycle, partial_product
+from .digraph import CyclicPartition, _block_mask, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
+    _finite,
+    _pairs_from_json,
+    _pairs_to_json,
+    _power_scale,
     as_complex_matrix,
     as_complex_vector,
     jordan_block,
@@ -110,89 +114,65 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
             f"chain vectors have length {chain.order} but matrix has order {am.shape[0]}"
         )
     lam = chain.eigenvalue
-    vecs = chain.vectors
     p = chain.length
-    op = am if chain.orientation == "right" else am.T
-    scale = max(1.0, norm_inf(am)) * max(1.0, max(norm_inf(v) for v in vecs))
-    thr = tol * scale
-
-    # Recursion: right chains couple to the previous vector, left chains
-    # (rows of S^{-1}) to the next one.
+    # A left chain (y_1, ..., y_p) of A is the right chain (y_p, ..., y_1)
+    # of A^T; the thresholds stay scaled by ||A||_inf, not ||A^T||_inf.
+    if chain.orientation == "right":
+        op, vecs = am, chain.vectors
+    else:
+        op, vecs = am.T, chain.vectors[::-1]
+    na = norm_inf(am)
+    thr = tol * max(1.0, na) * max(1.0, max(norm_inf(v) for v in vecs))
     for j in range(p):
-        if chain.orientation == "right":
-            coupled = vecs[j - 1] if j > 0 else 0.0
-        else:
-            coupled = vecs[j + 1] if j < p - 1 else 0.0
-        resid = norm_inf(op @ vecs[j] - lam * vecs[j] - coupled)
-        if resid > thr:
+        coupled = vecs[j - 1] if j > 0 else 0.0
+        if norm_inf(op @ vecs[j] - lam * vecs[j] - coupled) > thr:
             return False
 
-    if matrix_rank(np.column_stack(vecs), tol) != p:
+    if matrix_rank(np.column_stack(chain.vectors), tol) != p:
         return False
 
     # Redundant power form, iterated with the shifted matrix.
     shifted = op - lam * np.eye(am.shape[0])
-    grow = max(1.0, norm_inf(am) + abs(lam))
-    if chain.orientation == "right":
-        z = vecs[p - 1]
-        for k in range(p, 0, -1):
-            step_thr = tol * grow ** (p - k) * max(1.0, norm_inf(vecs[p - 1]))
-            if norm_inf(z - vecs[k - 1]) > step_thr:
-                return False
-            z = shifted @ z
-    else:
-        z = vecs[0]
-        for j in range(1, p + 1):
-            step_thr = tol * grow ** (j - 1) * max(1.0, norm_inf(vecs[0]))
-            if norm_inf(z - vecs[j - 1]) > step_thr:
-                return False
-            z = shifted @ z
+    grow = max(1.0, na + abs(lam))
+    z = vecs[p - 1]
+    for k in range(p, 0, -1):
+        step_thr = tol * _power_scale(grow, p - k) * max(1.0, norm_inf(vecs[p - 1]))
+        if norm_inf(z - vecs[k - 1]) > step_thr:
+            return False
+        z = shifted @ z
     return True
 
 
-def _rotation_scales(part: CyclicPartition, k: int, j: int, transposed: bool) -> np.ndarray:
-    scales = np.empty(part.n, dtype=complex)
-    for i, cls in enumerate(part.classes, start=1):
-        e = part.exponent(j, i) if transposed else part.exponent(i, j)
-        value = omega_pow(part.h, k, e)
-        for v in cls:
-            scales[v - 1] = value
-    return scales
+def _rotate(chain: JordanChain, part: CyclicPartition, k: int, orientation: str) -> JordanChain:
+    if chain.orientation != orientation:
+        raise ValueError(f"rotate_{orientation}_chain needs a {orientation}-oriented chain")
+    if chain.order != part.n:
+        raise ValueError("chain vector length does not match the partition")
+    # Class i of vector j scales by (w^k)^e with e = (i - j) mod h for right
+    # chains and (j - i) mod h for left ones; the h factors are looked up.
+    sign = 1 if orientation == "right" else -1
+    factors = np.array([omega_pow(part.h, k, e) for e in range(part.h)])
+    classes = part._labels + 1
+    vectors = tuple(
+        vec * factors[sign * (classes - j) % part.h]
+        for j, vec in enumerate(chain.vectors, start=1)
+    )
+    return JordanChain(
+        eigenvalue=chain.eigenvalue * omega_pow(part.h, k, 1),
+        orientation=orientation,
+        vectors=vectors,
+    )
 
 
 def rotate_right_chain(chain: JordanChain, part: CyclicPartition, k: int) -> JordanChain:
     """Right chain at lam*w^k obtained by scaling class block i of chain
     vector j by (w^k)^((i-j) mod h)."""
-    if chain.orientation != "right":
-        raise ValueError("rotate_right_chain needs a right-oriented chain")
-    if chain.order != part.n:
-        raise ValueError("chain vector length does not match the partition")
-    vectors = tuple(
-        vec * _rotation_scales(part, k, j, transposed=False)
-        for j, vec in enumerate(chain.vectors, start=1)
-    )
-    return JordanChain(
-        eigenvalue=chain.eigenvalue * omega_pow(part.h, k, 1),
-        orientation="right",
-        vectors=vectors,
-    )
+    return _rotate(chain, part, k, "right")
 
 
 def rotate_left_chain(chain: JordanChain, part: CyclicPartition, k: int) -> JordanChain:
     """Left chain at lam*w^k; block i of vector j scales by (w^k)^((j-i) mod h)."""
-    if chain.orientation != "left":
-        raise ValueError("rotate_left_chain needs a left-oriented chain")
-    if chain.order != part.n:
-        raise ValueError("chain vector length does not match the partition")
-    vectors = tuple(
-        vec * _rotation_scales(part, k, j, transposed=True)
-        for j, vec in enumerate(chain.vectors, start=1)
-    )
-    return JordanChain(
-        eigenvalue=chain.eigenvalue * omega_pow(part.h, k, 1),
-        orientation="left",
-        vectors=vectors,
-    )
+    return _rotate(chain, part, k, "left")
 
 
 def embed_null_vector(x, i: int, part: CyclicPartition) -> np.ndarray:
@@ -207,8 +187,7 @@ def embed_null_vector(x, i: int, part: CyclicPartition) -> np.ndarray:
             f"vector has length {xv.size} but class {i} has {len(members)} vertices"
         )
     out = np.zeros(part.n, dtype=complex)
-    for pos, v in enumerate(members):
-        out[v - 1] = xv[pos]
+    out[np.asarray(members) - 1] = xv
     return out
 
 
@@ -241,14 +220,16 @@ def zero_chain_from_null_vector(
     is (A^{p-1} v, ..., A v, v).  The partial products check the same
     minimality on the block level: B_ip x = 0 while B_iq x != 0 for q < p.
     """
-    am = as_complex_matrix(a)
-    if not is_h_cyclic(am, part, tol):
-        raise ValueError("matrix is not h-cyclic for the given partition")
+    am, bc = _checked_cycle(a, part, tol)
     xv = as_complex_vector(x)
     if norm_inf(xv) == 0.0:
         raise ValueError("seed vector must be nonzero")
-    bc = _cycle_blocks(am, part)
-    b_i = partial_product(bc, i, part.h)
+    return _zero_chain(am, part, bc, i, partial_product(bc, i, part.h), xv, tol)
+
+
+def _zero_chain(am: np.ndarray, part: CyclicPartition, bc: BlockCycle, i: int, b_i: np.ndarray,
+                xv: np.ndarray, tol: float) -> ZeroChainReport:
+    # ``am`` is h-cyclic for ``part`` with cycle blocks ``bc`` and B_i = b_i.
     kernel_thr = tol * max(1.0, norm_inf(b_i)) * max(1.0, norm_inf(xv))
     if norm_inf(b_i @ xv) > kernel_thr:
         raise ValueError(f"seed vector is not in the kernel of cycle product B_{i}")
@@ -260,7 +241,7 @@ def zero_chain_from_null_vector(
     p = 0
     for q in range(1, part.h + 1):
         w = am @ powers[-1]
-        if norm_inf(w) <= tol * na**q * nx:
+        if norm_inf(w) <= tol * _power_scale(na, q) * nx:
             p = q
             break
         powers.append(w)
@@ -273,7 +254,7 @@ def zero_chain_from_null_vector(
     # Block-level minimality must agree with the full-matrix iteration.
     for q in range(1, p + 1):
         piece = partial_product(bc, i, q) @ xv
-        small = norm_inf(piece) <= tol * na**q * nx
+        small = norm_inf(piece) <= tol * _power_scale(na, q) * nx
         if small != (q == p):
             raise NumericalError(
                 f"partial product B_i{q} disagrees with the power iteration at class {i}"
@@ -314,8 +295,8 @@ def weyr_zero(a, tol: float = DEFAULT_TOL) -> WeyrCharacteristic:
     weights: list[int] = []
     prev_nullity = 0
     power = np.eye(n, dtype=complex)
-    for _ in range(n):
-        power = power @ am
+    for k in range(1, n + 1):
+        power = _finite(power @ am, f"A^{k}")
         nullity = n - matrix_rank(power, tol)
         w = nullity - prev_nullity
         if w <= 0:
@@ -358,32 +339,17 @@ class ZeroChainSummary:
 def zero_chains_all(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> ZeroChainSummary:
     """Zero chains for each class whose cycle product is singular, one per
     kernel basis vector, in class order."""
-    am = as_complex_matrix(a)
-    if not is_h_cyclic(am, part, tol):
-        raise ValueError("matrix is not h-cyclic for the given partition")
-    bc = _cycle_blocks(am, part)
+    am, bc = _checked_cycle(a, part, tol)
     reports: list[ZeroChainReport] = []
-    classes_hit = set()
     for i in range(1, part.h + 1):
         b_i = partial_product(bc, i, part.h)
-        _, basis = null_space(b_i, tol)
-        for vec in basis:
-            reports.append(zero_chain_from_null_vector(am, part, i, vec, tol))
-            classes_hit.add(i)
+        for vec in null_space(b_i, tol)[1]:
+            reports.append(_zero_chain(am, part, bc, i, b_i, vec, tol))
     return ZeroChainSummary(
         reports=tuple(reports),
         weyr=weyr_zero(am, tol),
-        cross_class_redundancy=len(classes_hit) > 1,
+        cross_class_redundancy=len({r.class_index for r in reports}) > 1,
     )
-
-
-def _block_mask(part: CyclicPartition) -> np.ndarray:
-    # Blockwise cyclic-shift mask: entry (u, v) is 1 exactly when the class
-    # of v follows the class of u around the cycle (for h = 1 that is the
-    # all-ones matrix and the synthesis degenerates to plain S J S^{-1}).
-    labels = np.array([part.class_of(v) for v in range(1, part.n + 1)])
-    target = np.array([part.alpha(c) for c in labels])
-    return (labels[None, :] == target[:, None]).astype(complex)
 
 
 def reconstruct_from_chains(
@@ -488,11 +454,9 @@ def chain_to_json(chain: JordanChain) -> dict:
     """Serialize to ``{"eigenvalue": [re, im], "orientation": ..., "vectors":
     [[[re, im], ...], ...]}``."""
     return {
-        "eigenvalue": [chain.eigenvalue.real, chain.eigenvalue.imag],
+        "eigenvalue": _pairs_to_json(chain.eigenvalue)[0],
         "orientation": chain.orientation,
-        "vectors": [
-            [[float(z.real), float(z.imag)] for z in vec] for vec in chain.vectors
-        ],
+        "vectors": [_pairs_to_json(vec) for vec in chain.vectors],
     }
 
 
@@ -506,19 +470,10 @@ def chain_from_json(obj) -> JordanChain:
         vectors = obj["vectors"]
     except KeyError as exc:
         raise ValueError(f"malformed chain JSON: missing {exc}") from exc
-    if not isinstance(ev, (list, tuple)) or len(ev) != 2:
-        raise ValueError("chain eigenvalue must be an [re, im] pair")
     if not isinstance(vectors, list) or not vectors:
         raise ValueError("chain vectors must be a nonempty list")
-    parsed = []
-    for vec in vectors:
-        if not isinstance(vec, list):
-            raise ValueError("each chain vector must be a list of [re, im] pairs")
-        parsed.append(
-            np.array([complex(float(z[0]), float(z[1])) for z in vec], dtype=complex)
-        )
     return JordanChain(
-        eigenvalue=complex(float(ev[0]), float(ev[1])),
+        eigenvalue=_pairs_from_json([ev], "chain eigenvalue")[0],
         orientation=str(orientation),
-        vectors=tuple(parsed),
+        vectors=tuple(_pairs_from_json(vec, "chain vector") for vec in vectors),
     )

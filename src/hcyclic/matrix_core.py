@@ -14,6 +14,8 @@ recombination of them.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -61,12 +63,35 @@ def as_complex_vector(x) -> np.ndarray:
     return vec
 
 
+def _modulus(a: np.ndarray) -> np.ndarray:
+    """Entrywise modulus rounded exactly as ``abs`` rounds one complex
+    scalar; ``np.abs`` on a complex array can differ in the last bit,
+    which would move entries lying on a ``> tol`` threshold."""
+    return np.hypot(a.real, a.imag)
+
+
 def norm_inf(a) -> float:
     """Infinity norm: max absolute row sum for matrices, max modulus for vectors."""
     arr = np.asarray(a)
     if arr.ndim <= 1:
         return float(np.max(np.abs(arr))) if arr.size else 0.0
     return float(np.max(np.sum(np.abs(arr), axis=1)))
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` itself, or NumericalError when forming it overflowed."""
+    if not np.all(np.isfinite(arr)):
+        raise NumericalError(f"{what} overflowed the floating-point range")
+    return arr
+
+
+def _power_scale(base: float, p: int) -> float:
+    """``base ** p`` for a threshold scale, saturating at inf where the
+    power itself would raise OverflowError."""
+    try:
+        return base ** p
+    except OverflowError:
+        return math.inf
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -186,17 +211,44 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
     return len(pivots), basis
 
 
+def _pairs_to_json(values) -> list[list[float]]:
+    """``[[re, im], ...]`` for complex values, flattened in row-major order;
+    the floats are exactly the parts of each value, signed zeros included."""
+    flat = np.ascontiguousarray(values, dtype=complex).reshape(-1)
+    return flat.view(np.float64).reshape(-1, 2).tolist()
+
+
+# Pairs converted per np.asarray call.  Converting a nested list whole
+# takes about twice the result's size in temporary buffers, which for a
+# large matrix raises the peak memory of the process.
+_DECODE_ROWS = 8192
+
+
+def _pairs_from_json(data, what: str) -> np.ndarray:
+    """Inverse of :func:`_pairs_to_json`: a 1-D complex array from a list
+    of finite ``[re, im]`` pairs, or ValueError for anything else
+    (including numbers too large for a float)."""
+    try:
+        n = len(data)
+        arr = np.empty((n, 2))
+        for start in range(0, n, _DECODE_ROWS):
+            rows = np.asarray(data[start:start + _DECODE_ROWS], dtype=np.float64)
+            if rows.shape != (min(_DECODE_ROWS, n - start), 2):
+                raise ValueError("entries are not [re, im] pairs")
+            arr[start:start + _DECODE_ROWS] = rows
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a list of [re, im] number pairs: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} entries must be finite")
+    return arr.view(complex).reshape(-1)
+
+
 def matrix_to_json(a) -> dict:
     """Serialize to ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with
     row-major ``data``."""
     am = as_complex_matrix(a)
     rows, cols = am.shape
-    flat = am.reshape(-1)
-    return {
-        "rows": int(rows),
-        "cols": int(cols),
-        "data": [[float(z.real), float(z.imag)] for z in flat],
-    }
+    return {"rows": int(rows), "cols": int(cols), "data": _pairs_to_json(am)}
 
 
 def matrix_from_json(obj) -> np.ndarray:
@@ -207,15 +259,10 @@ def matrix_from_json(obj) -> np.ndarray:
         rows = int(obj["rows"])
         cols = int(obj["cols"])
         data = obj["data"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")
     if not isinstance(data, list) or len(data) != rows * cols:
         raise ValueError(f"matrix data must hold {rows * cols} [re, im] pairs")
-    out = np.empty(rows * cols, dtype=complex)
-    for idx, entry in enumerate(data):
-        if not isinstance(entry, (list, tuple)) or len(entry) != 2:
-            raise ValueError(f"matrix entry {idx} is not an [re, im] pair")
-        out[idx] = complex(float(entry[0]), float(entry[1]))
-    return as_complex_matrix(out.reshape(rows, cols))
+    return _pairs_from_json(data, "matrix data").reshape(rows, cols)

@@ -4,7 +4,8 @@ The two hand-worked matrices (a 6x6 and a 12x12 3-cyclic example) appear
 throughout the suite; their block products, spectra, and zero-chain
 lengths are known exactly.  The brute-force partition oracle enumerates
 every residue labelling, independent of the potential/gcd method used by
-the library.
+the library.  The entry-by-entry loops for h-cyclicity and circulants are
+the references that the library's array versions must match exactly.
 """
 
 from __future__ import annotations
@@ -115,6 +116,52 @@ def brute_force_partition_exists(g: Digraph, h: int) -> bool:
     for c in range(h):
         ok &= (labels == c).any(axis=1)
     return bool(ok.any())
+
+
+def brute_force_is_h_cyclic(a, part: CyclicPartition, tol: float) -> bool:
+    """Arc-by-arc oracle: every entry with modulus above ``tol`` must run
+    from some class V_c to V_(c mod h + 1)."""
+    class_of = {v: c for c, cls in enumerate(part.classes, start=1) for v in cls}
+    n = a.shape[0]
+    for i in range(n):
+        for j in range(n):
+            if abs(a[i, j]) > tol and class_of[j + 1] != class_of[i + 1] % part.h + 1:
+                return False
+    return True
+
+
+def brute_force_circulant(ref) -> np.ndarray:
+    """Circulant with first row ``ref``, filled entry by entry."""
+    n = len(ref)
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = ref[(j - i) % n]
+    return out
+
+
+def brute_force_recognize_circulant(c, tol: float):
+    """First row of ``c`` if every entry is within ``tol`` of the first-row
+    entry on its wrapped diagonal, else None."""
+    n = c.shape[0]
+    ref = c[0].copy()
+    for i in range(n):
+        for j in range(n):
+            if abs(c[i, j] - ref[(j - i) % n]) > tol:
+                return None
+    return ref
+
+
+def random_partition(rng, n: int, h: int) -> CyclicPartition:
+    """Random h-class partition of 1..n with nonempty, generally
+    non-consecutive classes."""
+    labels = np.concatenate([np.arange(h), rng.integers(0, h, n - h)])
+    rng.shuffle(labels)
+    return CyclicPartition(h, tuple(tuple(np.flatnonzero(labels == c) + 1) for c in range(h)))
+
+
+# Multiples of tol planted around the arc threshold |a_ij| > tol.
+THRESHOLD_FACTORS = (0.5, 1.0, 1.0 + 1e-7, 2.0)
 
 
 def random_digraph(rng, n=None, density=0.25) -> Digraph:

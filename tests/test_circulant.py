@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hcyclic import (
@@ -45,6 +45,11 @@ class TestConstruction:
         total = circulant_from_reference(r) + circulant_from_reference(s)
         assert np.array_equal(total, circulant_from_reference(r + s))
 
+    @given(r=st.lists(finite_complex, min_size=1, max_size=12))
+    def test_matches_entry_loop(self, r):
+        ref = np.array(r, dtype=complex)
+        assert np.array_equal(circulant_from_reference(ref), helpers.brute_force_circulant(ref))
+
     def test_empty_reference_rejected(self):
         with pytest.raises(ValueError):
             circulant_from_reference([])
@@ -66,6 +71,32 @@ class TestRecognition:
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
             recognize_circulant(np.ones((2, 3)))
+
+    @settings(max_examples=200)
+    @given(
+        r=st.lists(finite_complex, min_size=1, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+        tol=st.sampled_from([1e-9, 1e-3, 0.5]),
+    )
+    def test_matches_entry_loop(self, r, seed, tol):
+        # Perturbations of one multiple of tol with random phases, planted
+        # below the first row on diagonals whose reference entry is zero,
+        # so each difference is exactly the planted value and its modulus
+        # straddles the threshold by an ulp or so.
+        rng = np.random.default_rng(seed)
+        ref = np.array(r, dtype=complex)
+        ref[rng.uniform(size=ref.size) < 0.5] = 0
+        n = ref.size
+        factor = rng.choice(helpers.THRESHOLD_FACTORS)
+        delta = tol * factor * np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+        c = helpers.brute_force_circulant(ref)
+        hit = (rng.uniform(size=(n, n)) < 1 / 3) & (c == 0)
+        hit[0] = False
+        c += np.where(hit, delta, 0)
+        got = recognize_circulant(c, tol)
+        want = helpers.brute_force_recognize_circulant(c, tol)
+        assert (got is None) == (want is None)
+        assert got is None or np.array_equal(got, want)
 
     @given(r=st.lists(finite_complex, min_size=1, max_size=16))
     def test_round_trip_exact(self, r):

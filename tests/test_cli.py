@@ -284,6 +284,48 @@ class TestExitCodes:
         )
         assert code == 1 and err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command", ["blocks", "power", "spectrum", "check", "zero-chains", "weyr"]
+    )
+    def test_overflow_is_numerical_failure(self, capsys, files, command):
+        # Valid input whose cycle products or powers leave the float range.
+        rows = [[1e200, 1e200], [0, 0]] if command == "weyr" else [[0, 1e200], [1e200, 0]]
+        argv = [command, "--matrix", files["write"]("huge.json", matrix_to_json(np.array(rows)))]
+        if command != "weyr":
+            argv += ["--partition", files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]})]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("matrix", '{"rows": 1, "cols": 1, "data": [[1%s, 0]]}' % ("0" * 400)),
+            ("matrix", '{"rows": 1e400, "cols": 1, "data": [[0, 0]]}'),
+            ("partition", '{"h": 1e400, "classes": [[1], [2, 3, 4], [5, 6]]}'),
+            ("chain", '{"eigenvalue": [1%s, 0], "orientation": "right", "vectors": [[[1, 0]]]}'
+             % ("0" * 400)),
+            ("orbits",
+             '{"orbits": [{"eigenvalue": [1, 0], "length": 1e400, "right": {}, "left": {}}]}'),
+        ],
+        ids=["matrix-data", "matrix-rows", "partition-h", "chain-eigenvalue", "orbit-length"],
+    )
+    def test_number_too_large_for_float_is_validation_error(self, capsys, files, tmp_path,
+                                                             kind, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        one = files["write"]("one.json", {"h": 1, "classes": [[1]]})
+        argv = {
+            "matrix": ["weyr", "--matrix", str(bad)],
+            "partition": ["spectrum", "--matrix", files["six"], "--partition", str(bad)],
+            "chain": ["rotate-chain", "--chain", str(bad), "--partition", one, "--k", "0"],
+            "orbits": ["reconstruct", "--orbits", str(bad), "--partition", one],
+        }[kind]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "error:" in err and "Traceback" not in err
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

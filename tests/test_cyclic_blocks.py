@@ -131,6 +131,12 @@ class TestBlockDiagonalPower:
             for i, block in enumerate(diag, start=1):
                 assert np.max(np.abs(block - partial_product(bc, i, part.h))) <= 1e-8
 
+    def test_threshold_scale_saturates(self):
+        # ||A||^2 = 1e400 overflows a float while A^2 = I does not.
+        a = np.array([[0, 1e200], [1e-200, 0]])
+        diag = block_diagonal_power(a, CyclicPartition(2, ((1,), (2,))))
+        assert [b[0, 0] for b in diag] == [1, 1]
+
     def test_inconsistent_input_raises(self):
         # With a sloppy tolerance the off-pattern entries hide from the
         # digraph but poison A^h, which the residual check must flag.

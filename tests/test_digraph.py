@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hcyclic import (
     CyclicPartition,
@@ -141,6 +143,35 @@ class TestIsHCyclic:
         with pytest.raises(ValueError):
             is_h_cyclic(a, CyclicPartition(2, ((1,), (2,))))
 
+    @settings(max_examples=200)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 8),
+        tol=st.sampled_from([1e-9, 1e-3, 0.5]),
+    )
+    def test_mask_test_matches_arc_loop(self, seed, n, tol):
+        # A random, generally non-consecutive partition; on its block-shift
+        # pattern O(1) entries and entries planted at one multiple of tol
+        # with random phases, elsewhere zeros and a few planted entries.
+        # Planted moduli straddle the arc threshold |a_ij| > tol by an ulp
+        # or so.
+        rng = np.random.default_rng(seed)
+        part = helpers.random_partition(rng, n, int(rng.integers(1, n + 1)))
+        class_of = {v: c for c, cls in enumerate(part.classes) for v in cls}
+        pattern = np.array(
+            [[class_of[j] == (class_of[i] + 1) % part.h for j in range(1, n + 1)]
+             for i in range(1, n + 1)]
+        )
+        factor = rng.choice(helpers.THRESHOLD_FACTORS)
+        planted = tol * factor * np.exp(2j * np.pi * rng.uniform(size=(n, n)))
+        dense = helpers.unit_disk((n, n), rng)
+        on_pattern = np.where(rng.uniform(size=(n, n)) < 0.5, dense, planted)
+        off_pattern = np.where(rng.uniform(size=(n, n)) < 0.1, planted, 0)
+        a = np.where(pattern, on_pattern, off_pattern)
+        assert is_h_cyclic(a, part, tol) == helpers.brute_force_is_h_cyclic(a, part, tol)
+        arcs = {(i + 1, j + 1) for i in range(n) for j in range(n) if abs(a[i, j]) > tol}
+        assert digraph_of(a, tol).arcs == arcs
+
     def test_invalid_partition_rejected(self):
         with pytest.raises(ValueError):
             CyclicPartition(2, ((1, 2), (2, 3)))
@@ -210,3 +241,8 @@ class TestPartitionHelpers:
             partition_from_json({"h": 2})
         with pytest.raises(ValueError):
             partition_from_json({"h": 2, "classes": [[1], [3]]})
+        # JSON numbers such as 1e400 parse to inf, which int() cannot take.
+        with pytest.raises(ValueError):
+            partition_from_json({"h": float("inf"), "classes": [[1], [2]]})
+        with pytest.raises(ValueError):
+            partition_from_json({"h": 2, "classes": [[1], [float("inf")]]})

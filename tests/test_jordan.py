@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hcyclic.cyclic_blocks
+import hcyclic.jordan
 from hcyclic import (
     CyclicPartition,
     JordanChain,
@@ -265,6 +267,29 @@ class TestZeroChains:
         assert summary.cross_class_redundancy
         assert summary.zero_block_sizes == (3, 2, 2, 1, 1)
 
+    def test_validates_once(self, twelve, monkeypatch):
+        a, part = twelve
+        calls = []
+        original = hcyclic.cyclic_blocks.is_h_cyclic
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        for module in (hcyclic.cyclic_blocks, hcyclic.jordan):
+            monkeypatch.setattr(module, "is_h_cyclic", counting)
+        summary = zero_chains_all(a, part)
+        assert len(summary.reports) == 9
+        assert len(calls) == 1
+
+    def test_threshold_scale_saturates(self):
+        # ||A||^2 = 1e320 overflows a float while A^2 = 0: the zero test of
+        # A^2 v is made against an infinite scale instead of raising.
+        a = assemble_blocks([np.array([[1e80, 1e160]]), np.zeros((2, 1))])
+        part = CyclicPartition(2, ((1,), (2, 3)))
+        report = zero_chain_from_null_vector(a, part, 2, np.array([1, 0]), tol=1e-100)
+        assert report.length == 2
+
     def test_six_example_consistent_with_block_sizes(self, six):
         a, part = six
         summary = zero_chains_all(a, part)
@@ -429,3 +454,10 @@ class TestChainJson:
             chain_from_json({"eigenvalue": [0, 0], "orientation": "right"})
         with pytest.raises(ValueError):
             chain_from_json({"eigenvalue": [0], "orientation": "right", "vectors": [[[0, 0]]]})
+        # Integers too large for a float.
+        with pytest.raises(ValueError):
+            chain_from_json({"eigenvalue": [10**400, 0], "orientation": "right",
+                             "vectors": [[[0, 0]]]})
+        with pytest.raises(ValueError):
+            chain_from_json({"eigenvalue": [0, 0], "orientation": "right",
+                             "vectors": [[[10**400, 0]]]})

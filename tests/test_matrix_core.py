@@ -179,6 +179,8 @@ class TestMatrixJson:
             {"rows": 1, "cols": 1, "data": [[float("nan"), 0]]},
             {"rows": 0, "cols": 1, "data": []},
             {"rows": 1, "cols": 1, "data": [0.0]},
+            {"rows": 1, "cols": 1, "data": [[10**400, 0]]},
+            {"rows": float("inf"), "cols": 1, "data": [[0, 0]]},
         ],
     )
     def test_malformed_rejected(self, doc):
