@@ -21,6 +21,7 @@ from .matrix_core import (
     NumericalError,
     _finite,
     _power_scale,
+    _weyr_weights,
     as_complex_matrix,
     matrix_rank,
     norm_inf,
@@ -209,20 +210,21 @@ def _hth_roots(lam: complex, h: int) -> tuple[complex, ...]:
 
 def mirsky_spectrum(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> SpectrumPrediction:
     """Predicted spectrum: n - h*m zeros and the h-th roots of the m
-    nonzero eigenvalues of the cycle product B_1."""
+    nonzero eigenvalues of the cycle product B_1, where m = |V_1| minus the
+    multiplicity of zero in B_1 read off the ranks of its powers."""
     bc = _checked_cycle(a, part, tol)[1]
     b1 = partial_product(bc, 1, part.h)
-    eigs = np.linalg.eigvals(b1)
-    cutoff = tol * max(1.0, norm_inf(b1))
-    nonzero = [complex(z) for z in eigs if abs(z) > cutoff]
-    nonzero.sort(key=lambda z: (-abs(z), cmath.phase(z)))
-    zero_count = part.n - part.h * len(nonzero)
+    # A defective zero of B_1 comes out of eigvals as a cluster of radius
+    # about eps^(1/p), so its multiplicity is taken from the rank sequence.
+    m = b1.shape[0] - sum(_weyr_weights(b1, tol))
+    eigs = sorted((complex(z) for z in np.linalg.eigvals(b1)), key=lambda z: (-abs(z), cmath.phase(z)))
+    zero_count = part.n - part.h * m
     if zero_count < 0:
         raise NumericalError(
             "nonzero eigenvalue count exceeds what the block sizes allow; "
             "tolerance is misclassifying zeros"
         )
-    orbits = tuple(_hth_roots(lam, part.h) for lam in nonzero)
+    orbits = tuple(_hth_roots(lam, part.h) for lam in eigs[:m])
     return SpectrumPrediction(zero_count=zero_count, root_orbits=orbits)
 
 

@@ -35,10 +35,10 @@ from .digraph import CyclicPartition, _block_mask, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
-    _finite,
     _pairs_from_json,
     _pairs_to_json,
     _power_scale,
+    _weyr_weights,
     as_complex_matrix,
     as_complex_vector,
     jordan_block,
@@ -128,7 +128,9 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
         if norm_inf(op @ vecs[j] - lam * vecs[j] - coupled) > thr:
             return False
 
-    if matrix_rank(np.column_stack(chain.vectors), tol) != p:
+    # Independence is judged on unit vectors, so vectors of very different
+    # scale are not taken for dependent.
+    if matrix_rank(np.column_stack([v / (norm_inf(v) or 1.0) for v in chain.vectors]), tol) != p:
         return False
 
     # Redundant power form, iterated with the shifted matrix.
@@ -288,24 +290,7 @@ class WeyrCharacteristic:
 def weyr_zero(a, tol: float = DEFAULT_TOL) -> WeyrCharacteristic:
     """Weyr characteristic of ``a`` at the eigenvalue zero (empty for a
     nonsingular matrix)."""
-    am = as_complex_matrix(a)
-    if am.shape[0] != am.shape[1]:
-        raise ValueError(f"matrix must be square, got {am.shape}")
-    n = am.shape[0]
-    weights: list[int] = []
-    prev_nullity = 0
-    power = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        power = _finite(power @ am, f"A^{k}")
-        nullity = n - matrix_rank(power, tol)
-        w = nullity - prev_nullity
-        if w <= 0:
-            break
-        weights.append(w)
-        prev_nullity = nullity
-        if nullity == n:
-            break
-    return WeyrCharacteristic(weights=tuple(weights))
+    return WeyrCharacteristic(weights=_weyr_weights(as_complex_matrix(a), tol))
 
 
 @dataclass(frozen=True)

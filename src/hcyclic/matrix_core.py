@@ -4,11 +4,15 @@ Everything operates on plain numpy arrays of ``complex128``.  Index sets
 for submatrix extraction are 1-based, matching the vertex and class
 numbering used by the digraph and block-cycle modules.
 
-Rank and kernel computations use Gaussian elimination with partial
-pivoting and an absolute pivot threshold scaled by the matrix magnitude.
-The kernel basis is returned in reduced-echelon "free variable" form, so
-for matrices with simple rational structure the basis vectors have the
-exact rational entries one would compute by hand, not an orthonormalized
+Rank and kernel computations use Gauss-Jordan elimination with partial
+pivoting and an absolute pivot threshold scaled by the matrix magnitude:
+one array update per pivot, over the rows with a nonzero multiplier and
+the columns from the leftmost non-pivot column on.  The free columns come
+out bit for bit as a row-by-row loop leaves them, signed zeros included;
+the pivot columns hold zeros of either sign that no caller reads.  The
+kernel basis is returned in reduced-echelon "free variable" form, so for
+matrices with simple rational structure the basis vectors have the exact
+rational entries one would compute by hand, not an orthonormalized
 recombination of them.
 """
 
@@ -149,20 +153,24 @@ def _rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
     m, n = r.shape
     pivots: list[int] = []
     row = 0
+    first = n  # leftmost non-pivot column seen so far
     for col in range(n):
         if row == m:
             break
         p = row + int(np.argmax(np.abs(r[row:, col])))
         if abs(r[p, col]) <= thr:
+            first = min(first, col)
             continue
         if p != row:
             r[[row, p]] = r[[p, row]]
-        r[row] = r[row] / r[row, col]
+        # Columns left of ``lo`` are pivot columns, zero in the pivot row.
+        lo = min(first, col)
+        r[row, lo:] /= r[row, col]
         r[row, col] = 1.0
-        for other in range(m):
-            if other != row and r[other, col] != 0:
-                r[other] = r[other] - r[other, col] * r[row]
-                r[other, col] = 0.0
+        others = np.flatnonzero(r[:, col])
+        others = others[others != row]
+        r[others, lo:] -= np.multiply.outer(r[others, col], r[row, lo:])
+        r[others, col] = 0.0
         pivots.append(col)
         row += 1
     return r, pivots
@@ -198,17 +206,36 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
     am = as_complex_matrix(a)
     rref, pivots = _rref(am, _pivot_threshold(am, tol))
     n = am.shape[1]
-    pivot_set = set(pivots)
     basis = []
-    for f in range(n):
-        if f in pivot_set:
-            continue
+    for f in sorted(set(range(n)) - set(pivots)):
         v = np.zeros(n, dtype=complex)
         v[f] = 1.0
-        for i, p in enumerate(pivots):
-            v[p] = -rref[i, f]
+        v[pivots] = -rref[:len(pivots), f]
         basis.append(v)
     return len(pivots), basis
+
+
+def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
+    """Nullity steps of the powers of the square matrix ``am``:
+    w_k = nullity(A^k) - nullity(A^(k-1)) while positive.  Their sum is
+    the algebraic multiplicity of the eigenvalue zero."""
+    if am.shape[0] != am.shape[1]:
+        raise ValueError(f"matrix must be square, got {am.shape}")
+    n = am.shape[0]
+    weights: list[int] = []
+    prev_nullity = 0
+    power = np.eye(n, dtype=complex)
+    for k in range(1, n + 1):
+        power = _finite(power @ am, f"A^{k}")
+        nullity = n - matrix_rank(power, tol)
+        w = nullity - prev_nullity
+        if w <= 0:
+            break
+        weights.append(w)
+        prev_nullity = nullity
+        if nullity == n:
+            break
+    return tuple(weights)
 
 
 def _pairs_to_json(values) -> list[list[float]]:

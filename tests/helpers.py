@@ -4,8 +4,9 @@ The two hand-worked matrices (a 6x6 and a 12x12 3-cyclic example) appear
 throughout the suite; their block products, spectra, and zero-chain
 lengths are known exactly.  The brute-force partition oracle enumerates
 every residue labelling, independent of the potential/gcd method used by
-the library.  The entry-by-entry loops for h-cyclicity and circulants are
-the references that the library's array versions must match exactly.
+the library.  The entry-by-entry loops for h-cyclicity and circulants,
+and the row-by-row elimination, are the references that the library's
+array versions must match exactly.
 """
 
 from __future__ import annotations
@@ -57,6 +58,17 @@ def bipartite_ones_matrix() -> np.ndarray:
 
 
 BIPARTITE_PARTITION = CyclicPartition(2, ((1, 2), (3, 4)))
+
+
+def scale_separated_matrix() -> np.ndarray:
+    """2-cyclic matrix with classes {1, 2}, {3}, a_13 = 1e200 and
+    a_32 = 1e-200; (1e200 e_1, e_3) is an exact zero chain."""
+    a = np.zeros((3, 3), dtype=complex)
+    a[0, 2], a[2, 1] = 1e200, 1e-200
+    return a
+
+
+SCALE_SEPARATED_PARTITION = CyclicPartition(2, ((1, 2), (3,)))
 
 
 def unit_disk(shape, rng) -> np.ndarray:
@@ -158,6 +170,35 @@ def random_partition(rng, n: int, h: int) -> CyclicPartition:
     labels = np.concatenate([np.arange(h), rng.integers(0, h, n - h)])
     rng.shuffle(labels)
     return CyclicPartition(h, tuple(tuple(np.flatnonzero(labels == c) + 1) for c in range(h)))
+
+
+def loop_rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form with partial pivoting.
+
+    Pivots whose modulus is <= ``thr`` are treated as zero.  Returns the
+    reduced matrix and the list of pivot column indices (0-based).
+    """
+    r = np.array(a, dtype=complex)
+    m, n = r.shape
+    pivots: list[int] = []
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        p = row + int(np.argmax(np.abs(r[row:, col])))
+        if abs(r[p, col]) <= thr:
+            continue
+        if p != row:
+            r[[row, p]] = r[[p, row]]
+        r[row] = r[row] / r[row, col]
+        r[row, col] = 1.0
+        for other in range(m):
+            if other != row and r[other, col] != 0:
+                r[other] = r[other] - r[other, col] * r[row]
+                r[other, col] = 0.0
+        pivots.append(col)
+        row += 1
+    return r, pivots
 
 
 # Multiples of tol planted around the arc threshold |a_ij| > tol.

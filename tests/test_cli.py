@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -216,6 +217,16 @@ class TestSubcommands:
         doc = json.loads(out)
         assert [entry["class"] for entry in doc["classes"]] == [2]
 
+    def test_zero_chains_scale_separated_chain(self, capsys, files):
+        matrix = files["write"]("scaled.json", matrix_to_json(helpers.scale_separated_matrix()))
+        part = files["write"](
+            "scaled_part.json", partition_to_json(helpers.SCALE_SEPARATED_PARTITION)
+        )
+        code, out, _ = run_cli(capsys, ["zero-chains", "--matrix", matrix, "--partition", part])
+        assert code == 0
+        per_class = {entry["class"]: entry["lengths"] for entry in json.loads(out)["classes"]}
+        assert per_class == {1: [1], 2: [2]}
+
     def test_weyr_golden(self, capsys, files):
         code, out, _ = run_cli(capsys, ["weyr", "--matrix", files["twelve"]])
         assert code == 0
@@ -342,6 +353,24 @@ class TestDeterminism:
         _, first, _ = run_cli(capsys, argv)
         _, second, _ = run_cli(capsys, argv)
         assert first == second
+
+    @pytest.mark.parametrize(
+        "argv_key, digest",
+        [
+            (("zero-chains", "--matrix", "twelve", "--partition", "twelve_part"),
+             "86d2624f8d867b37fe6dbe986fb6d784cf22fb5e1262db0d4f91a41592f3c434"),
+            (("weyr", "--matrix", "twelve"),
+             "7f240d546c74261c0c0e0cd889cb1c74506384e3d45aedcd7ed043c70b1a0bbf"),
+        ],
+    )
+    def test_golden_digest(self, capsys, files, argv_key, digest):
+        # Digests of stdout recorded from the row-by-row elimination.  The
+        # zero-chains output holds 26 zeros rendered as -0, which depend on
+        # exactly which rows each pivot step updates.
+        argv = [files[token] if token in files else token for token in argv_key]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_float_rendering(self):
         assert render_json({"x": 0.1 + 0.2}) == '{"x": 0.3}'

@@ -2,6 +2,8 @@ import cmath
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hcyclic import (
     CyclicPartition,
@@ -9,9 +11,11 @@ from hcyclic import (
     assemble_blocks,
     block_diagonal_power,
     extract_blocks,
+    jordan_block,
     mirsky_spectrum,
     nonsingular_structure_check,
     partial_product,
+    weyr_zero,
 )
 
 import helpers
@@ -204,6 +208,51 @@ class TestMirskySpectrum:
                 else:
                     assert len(eigs) == len(reference)
                     assert helpers.greedy_match(eigs, reference) <= 1e-6
+
+    def test_defective_first_cycle_product(self):
+        # B_1 = X N X^-1 with N a nilpotent 4x4 Jordan block: eigvals turns
+        # its zero into a cluster of radius about eps^(1/4), far above the
+        # tolerance, yet every eigenvalue of A is zero.
+        x = np.random.default_rng(12).standard_normal((4, 4))
+        a = assemble_blocks([x @ np.diag(np.ones(3), 1), np.eye(4), np.linalg.inv(x)])
+        pred = mirsky_spectrum(a, helpers.consecutive_partition((4, 4, 4)))
+        assert pred.zero_count == 12 and pred.root_orbits == ()
+        assert sum(weyr_zero(a).weights) == 12
+
+    @settings(max_examples=100)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        h=st.integers(2, 4),
+        nonzero=st.integers(0, 3),
+        nilpotent=st.lists(st.integers(1, 4), max_size=3),
+    )
+    def test_zero_count_is_weyr_sum(self, seed, h, nonzero, nilpotent):
+        # B_1 = X J X^-1 with J = diag(D, N): D nonzero, N nilpotent Jordan
+        # blocks, X unimodular, so every power of A is formed exactly and
+        # the Weyr weights of A count its zero eigenvalues.
+        m = nonzero + sum(nilpotent)
+        assume(m > 0)
+        rng = np.random.default_rng(seed)
+        j = np.zeros((m, m), dtype=complex)
+        j[np.arange(nonzero), np.arange(nonzero)] = rng.choice([1, -1, 2, -2, 1j], nonzero)
+        start = nonzero
+        for p in nilpotent:
+            j[start:start + p, start:start + p] = jordan_block(p, 0)
+            start += p
+        lower = np.tril(rng.integers(-1, 2, (m, m)), -1) + np.eye(m)
+        upper = np.triu(rng.integers(-1, 2, (m, m)), 1) + np.eye(m)
+        x = lower @ upper
+        x_inv = np.rint(np.linalg.inv(x))
+        assert np.array_equal(x @ x_inv, np.eye(m))
+        # Classes 2..h have at least m vertices; the extra ones add zeros.
+        sizes = [m] + [m + int(rng.integers(0, 3)) for _ in range(h - 1)]
+        blocks = [np.eye(sizes[i], sizes[(i + 1) % h]) for i in range(h)]
+        blocks[0] = x @ j @ blocks[0]
+        blocks[-1] = blocks[-1] @ x_inv
+        a = assemble_blocks(blocks)
+        pred = mirsky_spectrum(a, helpers.consecutive_partition(sizes))
+        assert pred.zero_count == sum(weyr_zero(a).weights)
+        assert len(pred.root_orbits) == nonzero
 
 
 class TestStructureCheck:

@@ -282,6 +282,17 @@ class TestZeroChains:
         assert len(summary.reports) == 9
         assert len(calls) == 1
 
+    def test_scale_separated_exact_chain(self):
+        # The chain (1e200 e_1, e_3) is exact; its vectors differ in scale
+        # by far more than 1/tol, which must not make them look dependent.
+        a = helpers.scale_separated_matrix()
+        summary = zero_chains_all(a, helpers.SCALE_SEPARATED_PARTITION)
+        assert summary.lengths_by_class() == {1: [1], 2: [2]}
+        chain = summary.by_class()[2][0].chain
+        assert np.array_equal(chain.vectors[0], [1e200, 0, 0])
+        assert np.array_equal(chain.vectors[1], [0, 0, 1])
+        assert verify_chain(a, chain)
+
     def test_threshold_scale_saturates(self):
         # ||A||^2 = 1e320 overflows a float while A^2 = 0: the zero test of
         # A^2 v is made against an infinite scale instead of raising.

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -14,6 +14,7 @@ from hcyclic import (
     null_space,
     submatrix,
 )
+from hcyclic.matrix_core import _pivot_threshold, _rref
 
 import helpers
 
@@ -160,6 +161,66 @@ class TestNullSpace:
             if basis:
                 stacked = np.column_stack(basis)
                 assert matrix_rank(stacked) == len(basis)
+
+
+def signed_zero_matrix(rng, m, n) -> np.ndarray:
+    """Real {-1, 0, 1} entries with about a third of the zero parts,
+    real and imaginary, negative."""
+    parts = np.zeros((m, n, 2))
+    parts[..., 0] = rng.integers(-1, 2, (m, n))
+    parts[(parts == 0) & (rng.uniform(size=(m, n, 2)) < 1 / 3)] = -0.0
+    return parts.view(complex)[..., 0]
+
+
+def rref_input(rng, kind, m, n):
+    """A test matrix of one kind and the pivot threshold to reduce it at."""
+    if kind == "integer":
+        a = signed_zero_matrix(rng, m, n)
+    elif kind == "product":
+        k = int(rng.integers(1, min(m, n) + 1))
+        right = signed_zero_matrix(rng, k, n) if rng.uniform() < 0.5 else helpers.unit_disk((k, n), rng)
+        a = signed_zero_matrix(rng, m, k) @ right
+    elif kind == "graded":
+        a = helpers.unit_disk((m, n), rng) * 10.0 ** rng.integers(-12, 13, (m, n))
+    elif kind == "planted":
+        # The first k columns pivot in the first k rows and leave rows k..m
+        # alone, so the pivot search of column k sees the planted moduli,
+        # multiples of thr around the test |pivot| > thr.
+        thr = float(rng.choice([1e-9, 1e-3, 0.5]))
+        a = helpers.unit_disk((m, n), rng)
+        k = int(rng.integers(0, min(m, n)))
+        a[k:, :k] = 0
+        factors = rng.choice(helpers.THRESHOLD_FACTORS, m - k)
+        a[k:, k] = thr * factors * np.exp(2j * np.pi * rng.uniform(size=m - k))
+        return a, thr
+    else:
+        a = helpers.unit_disk((m, n), rng)
+    return a, _pivot_threshold(a, 1e-9)
+
+
+class TestRref:
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["complex", "product", "integer", "graded", "planted"]),
+        m=st.integers(1, 10),
+        n=st.integers(1, 10),
+    )
+    def test_matches_row_loop(self, seed, kind, m, n):
+        # Same pivots and bit for bit the same free columns, signed zeros
+        # included: null_space copies the free columns into the kernel
+        # basis, whose zeros the CLI renders as 0 or -0.
+        a, thr = rref_input(np.random.default_rng(seed), kind, m, n)
+        got, pivots = _rref(a, thr)
+        want, loop_pivots = helpers.loop_rref(a, thr)
+        assert pivots == loop_pivots
+        free = [c for c in range(n) if c not in pivots]
+        assert got[:, free].tobytes() == want[:, free].tobytes()
+
+    def test_pivot_on_threshold_is_dropped(self):
+        a = np.array([[1e-3, 1.0], [0.0, 1.0]])
+        assert _rref(a, 1e-3)[1] == [1]
+        assert _rref(a, 1e-3 * (1 - 1e-7))[1] == [0, 1]
 
 
 class TestMatrixJson:
