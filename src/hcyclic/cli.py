@@ -12,6 +12,7 @@ failure (including overflow of products and powers of valid input).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -22,6 +23,7 @@ import numpy as np
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
+    _json_int,
     _pairs_from_json,
     _pairs_to_json,
     matrix_from_json,
@@ -101,12 +103,45 @@ COMMAND_OPERATIONS = {
 }
 
 
+# Every float is rendered with this format, one by one or in bulk.
+_FLOAT_FORMAT = "%.12g"
+
+
 def render_json(value) -> str:
     """Deterministic JSON text: insertion-ordered keys, floats at 12
     significant digits."""
     parts: list[str] = []
     _render(value, parts)
     return "".join(parts)
+
+
+def _render_floats(items) -> str | None:
+    """JSON text of a nonempty list of exact floats, or of a list of equally
+    long nonempty lists of them (the ``[[re, im], ...]`` pair lists), made
+    by one format call; None for any other list."""
+    if not items:
+        return None
+    if type(items[0]) is float:
+        flat = items
+        template = ", ".join([_FLOAT_FORMAT] * len(items))
+    else:
+        if not set(map(type, items)) <= {list, tuple}:
+            return None
+        widths = set(map(len, items))
+        if len(widths) != 1 or 0 in widths:
+            return None
+        width = widths.pop()
+        flat = tuple(itertools.chain.from_iterable(items))
+        row = "[" + ", ".join([_FLOAT_FORMAT] * width) + "]"
+        template = ", ".join([row] * len(items))
+    if set(map(type, flat)) != {float}:
+        return None
+    text = "[" + template % tuple(flat) + "]"
+    # Finite floats render with digits, sign, point and exponent only;
+    # an "n" comes from inf or nan.
+    if "n" in text:
+        raise ValueError("cannot render non-finite float")
+    return text
 
 
 def _render(value, parts: list[str]) -> None:
@@ -118,7 +153,7 @@ def _render(value, parts: list[str]) -> None:
         f = float(value)
         if not math.isfinite(f):
             raise ValueError("cannot render non-finite float")
-        parts.append(f"{f:.12g}")
+        parts.append(_FLOAT_FORMAT % f)
     elif value is None:
         parts.append("null")
     elif isinstance(value, str):
@@ -133,6 +168,10 @@ def _render(value, parts: list[str]) -> None:
             _render(item, parts)
         parts.append("}")
     elif isinstance(value, (list, tuple)):
+        bulk = _render_floats(value)
+        if bulk is not None:
+            parts.append(bulk)
+            return
         parts.append("[")
         for idx, item in enumerate(value):
             if idx:
@@ -309,11 +348,7 @@ def _cmd_reconstruct(args) -> dict:
     lefts = []
     for entry in data["orbits"]:
         lam = _pairs_from_json([entry["eigenvalue"]], "orbit eigenvalue")[0]
-        try:
-            length = int(entry["length"])
-        except OverflowError as exc:
-            raise ValueError(f"orbit length is not an integer: {exc}") from exc
-        spectrum.append((lam, length))
+        spectrum.append((lam, _json_int(entry["length"], "orbit length")))
         rights.append(chain_from_json(entry["right"]))
         lefts.append(chain_from_json(entry["left"]))
     a = reconstruct_from_chains(rights, lefts, spectrum, part, args.tol)

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, _modulus, as_complex_matrix
+from .matrix_core import DEFAULT_TOL, _json_int, _modulus, as_complex_matrix
 
 __all__ = [
     "Digraph",
@@ -301,8 +301,11 @@ def partition_from_json(obj) -> CyclicPartition:
     if not isinstance(obj.get("classes"), list):
         raise ValueError("partition classes must be a list of index lists")
     try:
-        h = int(obj["h"])
-        classes = tuple(tuple(int(v) for v in cls) for cls in obj["classes"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        h = _json_int(obj["h"], "partition h")
+        classes = tuple(
+            tuple(_json_int(v, "partition class entry") for v in cls)
+            for cls in obj["classes"]
+        )
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed partition JSON: {exc}") from exc
     return CyclicPartition(h=h, classes=classes)

@@ -25,6 +25,7 @@ an h-cyclic matrix out of chain families with exactly that symmetry.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,7 @@ from .digraph import CyclicPartition, _block_mask, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
+    _finite,
     _pairs_from_json,
     _pairs_to_json,
     _power_scale,
@@ -361,7 +363,8 @@ def reconstruct_from_chains(
     multiply to the identity); otherwise the symmetry hypotheses fail and
     a ValueError is raised.  The result is built blockwise, so it is
     exactly h-cyclic, and is cross-checked against the direct similarity
-    product S J S^{-1}.
+    product S J S^{-1}; entries that overflow the float range, or a
+    deviation from that product, raise NumericalError.
     """
     specs = [(complex(lam), int(p)) for lam, p in spectrum]
     rights = list(right_chains)
@@ -400,7 +403,7 @@ def reconstruct_from_chains(
     gram = y @ s
     resid = float(np.max(np.abs(gram - np.eye(n))))
     scale = max(1.0, norm_inf(y) * norm_inf(s))
-    if resid > tol * scale:
+    if not math.isfinite(resid) or resid > tol * scale:
         raise ValueError(
             f"rotated chain families are not biorthonormal (residual {resid:.3e}); "
             "the rotation-symmetry hypotheses do not hold"
@@ -415,7 +418,8 @@ def reconstruct_from_chains(
         coupling_part = np.zeros((n, n), dtype=complex)
         for j in range(p - 1):
             coupling_part += np.outer(rc.vectors[j], lc.vectors[j + 1])
-        out += hadamard(lam * h * eigen_part + h * coupling_part, mask)
+        synthesized = _finite(lam * h * eigen_part + h * coupling_part, "synthesized matrix")
+        out += hadamard(synthesized, mask)
 
     j_full = np.zeros((n, n), dtype=complex)
     pos = 0
@@ -426,7 +430,7 @@ def reconstruct_from_chains(
     direct = s @ j_full @ y
     direct_resid = float(np.max(np.abs(out - direct)))
     direct_scale = max(1.0, norm_inf(s) * norm_inf(j_full) * norm_inf(y))
-    if direct_resid > tol * direct_scale:
+    if not math.isfinite(direct_resid) or direct_resid > tol * direct_scale:
         raise NumericalError(
             f"blockwise synthesis deviates from S J S^-1 by {direct_resid:.3e}"
         )

@@ -270,6 +270,14 @@ def _pairs_from_json(data, what: str) -> np.ndarray:
     return arr.view(complex).reshape(-1)
 
 
+def _json_int(value, what: str) -> int:
+    """``value`` as an int if it is a JSON integer, else ValueError; bools,
+    strings and floats (``2.0`` included) are not integers."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def matrix_to_json(a) -> dict:
     """Serialize to ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with
     row-major ``data``."""
@@ -283,10 +291,10 @@ def matrix_from_json(obj) -> np.ndarray:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     try:
-        rows = int(obj["rows"])
-        cols = int(obj["cols"])
+        rows = _json_int(obj["rows"], "matrix rows")
+        cols = _json_int(obj["cols"], "matrix cols")
         data = obj["data"]
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, ValueError) as exc:
         raise ValueError(f"malformed matrix JSON: {exc}") from exc
     if rows < 1 or cols < 1:
         raise ValueError(f"matrix dimensions must be positive, got {rows}x{cols}")

@@ -5,13 +5,15 @@ throughout the suite; their block products, spectra, and zero-chain
 lengths are known exactly.  The brute-force partition oracle enumerates
 every residue labelling, independent of the potential/gcd method used by
 the library.  The entry-by-entry loops for h-cyclicity and circulants,
-and the row-by-row elimination, are the references that the library's
-array versions must match exactly.
+the row-by-row elimination and the float-by-float JSON renderer are the
+references that the library's array and bulk versions must match exactly.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -199,6 +201,48 @@ def loop_rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+def loop_render_json(value) -> str:
+    """Deterministic JSON text: insertion-ordered keys, floats at 12
+    significant digits."""
+    parts: list[str] = []
+    _loop_render(value, parts)
+    return "".join(parts)
+
+
+def _loop_render(value, parts: list[str]) -> None:
+    if isinstance(value, bool):
+        parts.append("true" if value else "false")
+    elif isinstance(value, (int, np.integer)):
+        parts.append(str(int(value)))
+    elif isinstance(value, (float, np.floating)):
+        f = float(value)
+        if not math.isfinite(f):
+            raise ValueError("cannot render non-finite float")
+        parts.append(f"{f:.12g}")
+    elif value is None:
+        parts.append("null")
+    elif isinstance(value, str):
+        parts.append(json.dumps(value))
+    elif isinstance(value, dict):
+        parts.append("{")
+        for idx, (key, item) in enumerate(value.items()):
+            if idx:
+                parts.append(", ")
+            parts.append(json.dumps(str(key)))
+            parts.append(": ")
+            _loop_render(item, parts)
+        parts.append("}")
+    elif isinstance(value, (list, tuple)):
+        parts.append("[")
+        for idx, item in enumerate(value):
+            if idx:
+                parts.append(", ")
+            _loop_render(item, parts)
+        parts.append("]")
+    else:
+        raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
 # Multiples of tol planted around the arc threshold |a_ij| > tol.

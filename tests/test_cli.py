@@ -6,6 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hcyclic
 from hcyclic import (
@@ -58,13 +60,38 @@ def files(tmp_path):
         path.write_text(json.dumps(payload))
         return str(path)
 
+    s = np.array(
+        [[1, 0, 1, 0], [0, 1, 0, -1], [1, 0, -1, 0], [0, 1, 0, 1]], dtype=complex
+    )
+    sinv = np.linalg.inv(s)
+    x1 = np.array([0, 1, -1, 0, 0, 0], dtype=complex)
+    x2 = np.array([0, 0, 0, 0, 1, -1], dtype=complex)
+    ref = np.array([[0.1 + 0.2j, -1 / 3, 2 ** 0.5 * 1j, 1e-300, -0.0, 12345.678901234]])
     return {
         "six": write("six.json", matrix_to_json(helpers.six_matrix())),
         "six_part": write("six_part.json", partition_to_json(helpers.SIX_PARTITION)),
+        "six_chain": write(
+            "six_chain.json", chain_to_json(JordanChain(0j, "right", (x1, x2)))
+        ),
         "twelve": write("twelve.json", matrix_to_json(helpers.twelve_matrix())),
         "twelve_part": write(
             "twelve_part.json", partition_to_json(helpers.TWELVE_PARTITION)
         ),
+        "ref": write("ref6.json", matrix_to_json(ref)),
+        "orbits": write(
+            "orbits.json",
+            {
+                "orbits": [
+                    {
+                        "eigenvalue": [0.0, 0.0],
+                        "length": 2,
+                        "right": chain_to_json(JordanChain(0j, "right", (s[:, 0], s[:, 1]))),
+                        "left": chain_to_json(JordanChain(0j, "left", (sinv[0], sinv[1]))),
+                    }
+                ]
+            },
+        ),
+        "bip_part": write("bip.json", {"h": 2, "classes": [[1, 2], [3, 4]]}),
         "write": write,
     }
 
@@ -169,16 +196,11 @@ class TestSubcommands:
         assert code == 2 and "exactly one" in err
 
     def test_rotate_chain(self, capsys, files):
-        x1 = np.array([0, 1, -1, 0, 0, 0], dtype=complex)
-        x2 = np.array([0, 0, 0, 0, 1, -1], dtype=complex)
-        chain_file = files["write"](
-            "chain.json", chain_to_json(JordanChain(0j, "right", (x1, x2)))
-        )
         code, out, _ = run_cli(
             capsys,
             [
                 "rotate-chain",
-                "--chain", chain_file,
+                "--chain", files["six_chain"],
                 "--partition", files["six_part"],
                 "--k", "1",
                 "--matrix", files["six"],
@@ -233,26 +255,8 @@ class TestSubcommands:
         assert out.strip() == '{"weyr": [5, 3, 1]}'
 
     def test_reconstruct(self, capsys, files):
-        s = np.array(
-            [[1, 0, 1, 0], [0, 1, 0, -1], [1, 0, -1, 0], [0, 1, 0, 1]], dtype=complex
-        )
-        sinv = np.linalg.inv(s)
-        orbits_file = files["write"](
-            "orbits.json",
-            {
-                "orbits": [
-                    {
-                        "eigenvalue": [0.0, 0.0],
-                        "length": 2,
-                        "right": chain_to_json(JordanChain(0j, "right", (s[:, 0], s[:, 1]))),
-                        "left": chain_to_json(JordanChain(0j, "left", (sinv[0], sinv[1]))),
-                    }
-                ]
-            },
-        )
-        part_file = files["write"]("bip.json", {"h": 2, "classes": [[1, 2], [3, 4]]})
         code, out, _ = run_cli(
-            capsys, ["reconstruct", "--orbits", orbits_file, "--partition", part_file]
+            capsys, ["reconstruct", "--orbits", files["orbits"], "--partition", files["bip_part"]]
         )
         assert code == 0
         a = matrix_from_json(json.loads(out)["matrix"])
@@ -309,6 +313,67 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_reconstruct_overflow_is_numerical_failure(self, capsys, files):
+        # Biorthonormal chains whose outer products leave the float range.
+        code, out, err = run_cli(
+            capsys, self._reconstruct_argv(files, (1e200, 0.5e-200), (0.5e-200, 1e200))
+        )
+        assert code == 1 and out == ""
+        assert "overflowed" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_reconstruct_overflowing_gram_is_not_biorthonormal(self, capsys, files):
+        code, out, err = run_cli(
+            capsys, self._reconstruct_argv(files, (1e200, 1e200), (1e200, 1e200))
+        )
+        assert code == 2 and out == ""
+        assert "not biorthonormal" in err
+
+    @staticmethod
+    def _reconstruct_argv(files, right, left):
+        def chain(orientation, entries):
+            return {
+                "eigenvalue": [1.0, 0.0],
+                "orientation": orientation,
+                "vectors": [[[x, 0.0] for x in entries]],
+            }
+
+        orbits = files["write"](
+            "overflow_orbits.json",
+            {"orbits": [{"eigenvalue": [1.0, 0.0], "length": 1,
+                         "right": chain("right", right), "left": chain("left", left)}]},
+        )
+        part = files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]})
+        return ["reconstruct", "--orbits", orbits, "--partition", part]
+
+    @pytest.mark.parametrize(
+        "kind, text",
+        [
+            ("matrix", '{"rows": 1, "cols": "1", "data": [[0, 0]]}'),
+            ("partition", '{"h": 2, "classes": [[1.9], [2.2]]}'),
+            ("partition", '{"h": true, "classes": [[1]]}'),
+            ("orbits",
+             '{"orbits": [{"eigenvalue": [1, 0], "length": 1.5, "right": {}, "left": {}}]}'),
+        ],
+        ids=["matrix-cols-string", "partition-class-float", "partition-h-bool",
+             "orbit-length-float"],
+    )
+    def test_non_integer_integer_field_is_validation_error(self, capsys, files, tmp_path,
+                                                          kind, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        pair = files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]})
+        two = files["write"]("two.json", matrix_to_json(np.array([[0, 1], [1, 0]])))
+        argv = {
+            "matrix": ["weyr", "--matrix", str(bad)],
+            "partition": ["spectrum", "--matrix", two, "--partition", str(bad)],
+            "orbits": ["reconstruct", "--orbits", str(bad), "--partition", pair],
+        }[kind]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "must be an integer" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "kind, text",
         [
@@ -361,12 +426,26 @@ class TestDeterminism:
              "86d2624f8d867b37fe6dbe986fb6d784cf22fb5e1262db0d4f91a41592f3c434"),
             (("weyr", "--matrix", "twelve"),
              "7f240d546c74261c0c0e0cd889cb1c74506384e3d45aedcd7ed043c70b1a0bbf"),
+            (("power", "--matrix", "twelve", "--partition", "twelve_part"),
+             "fc883cc960ff35db9c970790af38886c403c0977b49a339f3aa3b8f8771234c4"),
+            (("blocks", "--matrix", "twelve", "--partition", "twelve_part"),
+             "04e1d2637eeac4d1b8550ce5f431be9a59fb0516c19ff6aa382245397a808e6d"),
+            (("circulant", "--from-reference", "ref"),
+             "cbe3a49154047046476b50f64fcae3f73ebca43a9ab1a94bf8ff556db2812810"),
+            (("circulant", "--ck", "5", "2"),
+             "703696d251798f98db0c80a4a8099b651ff9eda81d7155f5567a9ee0f508e75a"),
+            (("rotate-chain", "--chain", "six_chain", "--partition", "six_part",
+              "--k", "1", "--matrix", "six"),
+             "8c0231fe47e7da300df4f583a87b6be613fca262871d32eb4e39c49cdbb32a31"),
+            (("reconstruct", "--orbits", "orbits", "--partition", "bip_part"),
+             "5f63649ff3b1265740fc87460c0a88148363493692e785a8207bc3e8f628fc5d"),
         ],
     )
     def test_golden_digest(self, capsys, files, argv_key, digest):
-        # Digests of stdout recorded from the row-by-row elimination.  The
-        # zero-chains output holds 26 zeros rendered as -0, which depend on
-        # exactly which rows each pivot step updates.
+        # Digests of stdout recorded from the row-by-row elimination and the
+        # per-float renderer.  The zero-chains output holds 26 zeros
+        # rendered as -0, which depend on exactly which rows each pivot step
+        # updates.
         argv = [files[token] if token in files else token for token in argv_key]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
@@ -376,6 +455,78 @@ class TestDeterminism:
         assert render_json({"x": 0.1 + 0.2}) == '{"x": 0.3}'
         assert render_json([1, True, None, "a"]) == '[1, true, null, "a"]'
         assert render_json(2 ** 0.5) == "1.41421356237"
+        assert render_json([[0.5, -0.0], [1e-300, 2.0]]) == "[[0.5, -0], [1e-300, 2]]"
+        assert render_json([0.1, 0.2]) == "[0.1, 0.2]"
+        for bad in ([1.0, float("nan")], [[1.0, 0.0], [float("-inf"), 0.0]]):
+            with pytest.raises(ValueError, match="non-finite"):
+                render_json(bad)
+
+
+# Floats at the edges of what "%.12g" prints: signed zero, the smallest
+# subnormal and magnitudes near the exponent limits.
+EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1.7976931348623157e308]
+finite_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
+)
+# Values that must keep a list off the bulk path, or make it unrenderable.
+intruders = st.one_of(
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False, None, "x"]),
+    st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
+    finite_floats.map(np.float64),
+    st.integers(min_value=-(2 ** 62), max_value=2 ** 62).map(np.int64),
+)
+float_lists = st.lists(finite_floats, max_size=8)
+pair_lists = st.integers(min_value=0, max_value=3).flatmap(
+    lambda width: st.lists(
+        st.lists(finite_floats, min_size=width, max_size=width), min_size=1, max_size=6
+    )
+)
+
+
+@st.composite
+def spoiled_lists(draw):
+    """A bulk candidate with one entry replaced by an intruder or, for pair
+    lists, one row made ragged or turned into a tuple."""
+    rows = draw(pair_lists)
+    if draw(st.booleans()):
+        items = draw(float_lists.filter(bool))
+        items[draw(st.integers(0, len(items) - 1))] = draw(intruders)
+        return items
+    r = draw(st.integers(0, len(rows) - 1))
+    how = draw(st.sampled_from(["intruder", "ragged", "tuple"]))
+    if how == "tuple":
+        rows[r] = tuple(rows[r])
+    elif how == "ragged":
+        rows[r] = rows[r] + [draw(finite_floats)]
+    elif rows[r]:
+        rows[r][draw(st.integers(0, len(rows[r]) - 1))] = draw(intruders)
+    else:
+        rows[r] = [draw(intruders)]
+    return rows
+
+
+render_values = st.recursive(
+    st.one_of(finite_floats, intruders, float_lists, pair_lists, spoiled_lists()),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=3), children, max_size=3),
+    ),
+    max_leaves=12,
+)
+
+
+class TestRendererOracle:
+    @settings(max_examples=400)
+    @given(value=render_values)
+    def test_matches_float_by_float_renderer(self, value):
+        try:
+            expected = helpers.loop_render_json(value)
+        except ValueError:
+            with pytest.raises(ValueError):
+                render_json(value)
+            return
+        assert render_json(value) == expected
 
 
 class TestCoverage:

@@ -246,3 +246,13 @@ class TestPartitionHelpers:
             partition_from_json({"h": float("inf"), "classes": [[1], [2]]})
         with pytest.raises(ValueError):
             partition_from_json({"h": 2, "classes": [[1], [float("inf")]]})
+        # Only JSON integers: int() would truncate these to a valid partition.
+        for doc in (
+            {"h": 2, "classes": [[1.9], [2.2]]},
+            {"h": 2.0, "classes": [[1], [2]]},
+            {"h": "2", "classes": [[1], [2]]},
+            {"h": True, "classes": [[1]]},
+            {"h": 2, "classes": [[True], [2]]},
+        ):
+            with pytest.raises(ValueError, match="must be an integer"):
+                partition_from_json(doc)

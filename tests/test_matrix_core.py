@@ -242,6 +242,11 @@ class TestMatrixJson:
             {"rows": 1, "cols": 1, "data": [0.0]},
             {"rows": 1, "cols": 1, "data": [[10**400, 0]]},
             {"rows": float("inf"), "cols": 1, "data": [[0, 0]]},
+            # Integer fields take JSON integers only: no truncation or parsing.
+            {"rows": 2.9, "cols": "2", "data": [[0, 0]] * 4},
+            {"rows": 1.0, "cols": 1, "data": [[0, 0]]},
+            {"rows": 1, "cols": "1", "data": [[0, 0]]},
+            {"rows": True, "cols": 1, "data": [[0, 0]]},
         ],
     )
     def test_malformed_rejected(self, doc):
