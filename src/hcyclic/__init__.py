@@ -10,124 +10,16 @@ symmetry-respecting Jordan data.  A JSON-speaking CLI (`hcyclic`) fronts
 the whole library.
 """
 
-from .matrix_core import (
-    DEFAULT_TOL,
-    NumericalError,
-    as_complex_matrix,
-    as_complex_vector,
-    norm_inf,
-    hadamard,
-    jordan_block,
-    submatrix,
-    matrix_rank,
-    null_space,
-    matrix_to_json,
-    matrix_from_json,
-)
-from .digraph import (
-    Digraph,
-    CyclicPartition,
-    digraph_of,
-    cyclic_index,
-    feasible_h_values,
-    find_h_partition,
-    is_h_cyclic,
-    consecutive_permutation,
-    apply_vertex_permutation,
-    permute_partition,
-    partition_to_json,
-    partition_from_json,
-)
-from .cyclic_blocks import (
-    BlockCycle,
-    SpectrumPrediction,
-    StructureReport,
-    extract_blocks,
-    assemble_blocks,
-    partial_product,
-    block_diagonal_power,
-    mirsky_spectrum,
-    nonsingular_structure_check,
-)
-from .circulant import (
-    omega,
-    omega_pow,
-    circulant_from_reference,
-    recognize_circulant,
-    basic_circulant,
-    c_k_matrix,
-    w_matrix,
-)
-from .jordan import (
-    JordanChain,
-    ZeroChainReport,
-    ZeroChainSummary,
-    WeyrCharacteristic,
-    verify_chain,
-    rotate_right_chain,
-    rotate_left_chain,
-    embed_null_vector,
-    zero_chain_from_null_vector,
-    zero_chains_all,
-    weyr_zero,
-    reconstruct_from_chains,
-    chain_to_json,
-    chain_from_json,
-)
+# Each module's public names, re-exported in this order.
+from . import matrix_core, digraph, cyclic_blocks, circulant, jordan
+from .matrix_core import *
+from .digraph import *
+from .cyclic_blocks import *
+from .circulant import *
+from .jordan import *
 
 __all__ = [
-    "DEFAULT_TOL",
-    "NumericalError",
-    "as_complex_matrix",
-    "as_complex_vector",
-    "norm_inf",
-    "hadamard",
-    "jordan_block",
-    "submatrix",
-    "matrix_rank",
-    "null_space",
-    "matrix_to_json",
-    "matrix_from_json",
-    "Digraph",
-    "CyclicPartition",
-    "digraph_of",
-    "cyclic_index",
-    "feasible_h_values",
-    "find_h_partition",
-    "is_h_cyclic",
-    "consecutive_permutation",
-    "apply_vertex_permutation",
-    "permute_partition",
-    "partition_to_json",
-    "partition_from_json",
-    "BlockCycle",
-    "SpectrumPrediction",
-    "StructureReport",
-    "extract_blocks",
-    "assemble_blocks",
-    "partial_product",
-    "block_diagonal_power",
-    "mirsky_spectrum",
-    "nonsingular_structure_check",
-    "omega",
-    "omega_pow",
-    "circulant_from_reference",
-    "recognize_circulant",
-    "basic_circulant",
-    "c_k_matrix",
-    "w_matrix",
-    "JordanChain",
-    "ZeroChainReport",
-    "ZeroChainSummary",
-    "WeyrCharacteristic",
-    "verify_chain",
-    "rotate_right_chain",
-    "rotate_left_chain",
-    "embed_null_vector",
-    "zero_chain_from_null_vector",
-    "zero_chains_all",
-    "weyr_zero",
-    "reconstruct_from_chains",
-    "chain_to_json",
-    "chain_from_json",
+    name
+    for module in (matrix_core, digraph, cyclic_blocks, circulant, jordan)
+    for name in module.__all__
 ]

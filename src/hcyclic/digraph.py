@@ -17,8 +17,6 @@ digraph has no underlying cycles that force anything).
 
 from __future__ import annotations
 
-import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,58 +40,97 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class Digraph:
-    """Vertices 1..n and a set of ordered arcs (i, j)."""
+    """Vertices 1..n and a set of ordered arcs (i, j).
 
-    n: int
-    arcs: frozenset[tuple[int, int]]
+    The arcs are held as the n-by-n boolean arc matrix (entry [i - 1, j - 1]
+    for arc (i, j)); ``arcs``, the frozenset of 1-based tuples, and
+    ``sorted_arcs`` are built from it on first access.
+    """
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, arcs):
+        if n < 1:
             raise ValueError("digraph needs at least one vertex")
-        arcs = frozenset((int(i), int(j)) for i, j in self.arcs)
-        for i, j in arcs:
-            if not (1 <= i <= self.n and 1 <= j <= self.n):
-                raise ValueError(f"arc ({i}, {j}) out of range 1..{self.n}")
-        object.__setattr__(self, "arcs", arcs)
+        ends = [(int(i), int(j)) for i, j in arcs]
+        for i, j in ends:
+            if not (1 <= i <= n and 1 <= j <= n):
+                raise ValueError(f"arc ({i}, {j}) out of range 1..{n}")
+        tails, heads = np.array(ends, dtype=np.intp).reshape(-1, 2).T - 1
+        self._arc = np.zeros((n, n), dtype=bool)
+        self._arc[tails, heads] = True
+
+    @classmethod
+    def _of_matrix(cls, arc: np.ndarray) -> Digraph:
+        g = cls.__new__(cls)
+        g._arc = arc
+        return g
+
+    @property
+    def n(self) -> int:
+        return self._arc.shape[0]
+
+    @cached_property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(self.sorted_arcs)
 
     @property
     def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+        tails, heads = np.nonzero(self._arc)
+        return list(zip((tails + 1).tolist(), (heads + 1).tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return np.array_equal(self._arc, other._arc)
+
+    def __hash__(self):
+        return hash((self.n, self._arc.tobytes()))
+
+    def __repr__(self):
+        return f"Digraph(n={self.n}, arcs={self.sorted_arcs})"
 
     @cached_property
-    def _potential_data(self) -> tuple[dict[int, int], list[tuple[list[int], int, int]], int]:
-        """BFS potentials on the underlying graph; the weakly connected
-        components, each as (members, least potential, span of potentials);
-        and the gcd of all arc discrepancies |pot(i) + 1 - pot(j)|."""
-        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.n + 1)}
-        for i, j in self.arcs:
-            adj[i].append((j, 1))
-            adj[j].append((i, -1))
-        for v in adj:
-            adj[v].sort()
-        pot: dict[int, int] = {}
-        comps: list[tuple[list[int], int, int]] = []
-        for s in range(1, self.n + 1):
-            if s in pot:
+    def _potential_data(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """BFS potentials on the underlying graph, shifted so that each
+        weakly connected component's least potential is 0; the component
+        of each vertex (components numbered by their least vertex); the
+        span of potentials of each component; and the gcd of all arc
+        discrepancies |pot(i) + 1 - pot(j)|.
+
+        Each dequeued vertex discovers its unseen neighbours in ascending
+        order, a neighbour joined both ways by the backward step -1.
+        """
+        arc, n = self._arc, self.n
+        seen = np.zeros(n, dtype=bool)
+        pot = np.zeros(n, dtype=np.intp)
+        comp = np.empty(n, dtype=np.intp)
+        order = np.empty(n, dtype=np.intp)  # BFS queue, one component after another
+        spans: list[int] = []
+        head = tail = 0
+        for s in range(n):
+            if seen[s]:
                 continue
-            pot[s] = 0
-            members = [s]
-            queue = deque([s])
-            while queue:
-                u = queue.popleft()
-                for w, step in adj[u]:
-                    if w not in pot:
-                        pot[w] = pot[u] + step
-                        members.append(w)
-                        queue.append(w)
-            values = [pot[v] for v in members]
-            comps.append((sorted(members), min(values), max(values) - min(values) + 1))
-        g_all = 0
-        for i, j in self.arcs:
-            g_all = math.gcd(g_all, abs(pot[i] + 1 - pot[j]))
-        return pot, comps, g_all
+            seen[s] = True
+            start = tail
+            order[tail] = s
+            tail += 1
+            while head < tail:
+                u = order[head]
+                head += 1
+                unseen = ~seen
+                backward = arc[:, u] & unseen
+                new = np.flatnonzero(arc[u] & unseen | backward)
+                pot[new] = pot[u] + np.where(backward[new], -1, 1)
+                seen[new] = True
+                order[tail:tail + new.size] = new
+                tail += new.size
+            members = order[start:tail]
+            comp[members] = len(spans)
+            pot[members] -= pot[members].min()
+            spans.append(int(pot[members].max()) + 1)
+        tails, heads = np.nonzero(arc)
+        g_all = int(np.gcd.reduce(pot[tails] + 1 - pot[heads]))
+        return pot, comp, np.array(spans), g_all
 
 
 @dataclass(frozen=True)
@@ -171,8 +208,7 @@ class CyclicPartition:
 def digraph_of(a, tol: float = DEFAULT_TOL) -> Digraph:
     """Digraph of a square matrix: arc (i, j) iff |a_ij| > tol."""
     arc = _arc_matrix(a, tol)
-    tails, heads = np.nonzero(arc)
-    return Digraph(n=arc.shape[0], arcs=frozenset(zip((tails + 1).tolist(), (heads + 1).tolist())))
+    return Digraph._of_matrix(arc)
 
 
 def _arc_matrix(a, tol: float) -> np.ndarray:
@@ -190,17 +226,17 @@ def cyclic_index(g: Digraph) -> int:
     returned value, where 0 means no constraint at all (any h is feasible
     as long as all h classes can be kept nonempty).
     """
-    return g._potential_data[2]
+    return g._potential_data[3]
 
 
 def feasible_h_values(g: Digraph) -> list[int]:
     """All h for which ``find_h_partition`` succeeds, in increasing order."""
-    _, comps, idx = g._potential_data
+    _, _, span, idx = g._potential_data
     if idx > 0:
         return [h for h in range(1, idx + 1) if idx % h == 0]
     # No cyclic constraint: components contribute disjoint potential
     # intervals, so classes can be kept nonempty up to the total span.
-    return list(range(1, sum(span for _, _, span in comps) + 1))
+    return list(range(1, int(span.sum()) + 1))
 
 
 def find_h_partition(g: Digraph, h: int) -> CyclicPartition | None:
@@ -214,23 +250,18 @@ def find_h_partition(g: Digraph, h: int) -> CyclicPartition | None:
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    pot, comps, idx = g._potential_data
+    pot, comp, span, idx = g._potential_data
     if idx > 0 and idx % h != 0:
         return None
-    labels: dict[int, int] = {}
-    cursor = 0
-    for members, lo, span in comps:
-        offset = cursor - lo
-        for v in members:
-            labels[v] = (pot[v] + offset) % h
-        cursor += min(span, h)
-    if cursor < h:
+    # Each component starts where the previous one's labels end.
+    used = np.minimum(span, h)
+    if used.sum() < h:
         return None
-    shift = labels[1]
-    classes: list[list[int]] = [[] for _ in range(h)]
-    for v in range(1, g.n + 1):
-        classes[(labels[v] - shift) % h].append(v)
-    return CyclicPartition(h=h, classes=tuple(tuple(cls) for cls in classes))
+    labels = pot + (np.cumsum(used) - used)[comp]
+    labels = (labels - labels[0]) % h
+    members = np.argsort(labels, kind="stable") + 1
+    classes = np.split(members, np.cumsum(np.bincount(labels, minlength=h))[:-1])
+    return CyclicPartition(h=h, classes=tuple(tuple(cls.tolist()) for cls in classes))
 
 
 def is_h_cyclic(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> bool:

@@ -37,6 +37,7 @@ from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
     _finite,
+    _json_int,
     _pairs_from_json,
     _pairs_to_json,
     _power_scale,
@@ -353,8 +354,8 @@ def reconstruct_from_chains(
         left_chains: the matching base left chains (rows of the inverse
             similarity, in S J S^{-1} order).
         spectrum: list of ``(eigenvalue, chain_length)`` pairs, one per
-            base eigenvalue; the full spectrum is the union of the
-            root-of-unity orbits of these.
+            base eigenvalue, with integer lengths; the full spectrum is
+            the union of the root-of-unity orbits of these.
         part: target partition; h and the class blocks drive the rotations.
         tol: residual threshold for the biorthogonality hypothesis.
 
@@ -366,7 +367,7 @@ def reconstruct_from_chains(
     product S J S^{-1}; entries that overflow the float range, or a
     deviation from that product, raise NumericalError.
     """
-    specs = [(complex(lam), int(p)) for lam, p in spectrum]
+    specs = [(complex(lam), _json_int(p, "chain length")) for lam, p in spectrum]
     rights = list(right_chains)
     lefts = list(left_chains)
     if not (len(specs) == len(rights) == len(lefts)):
@@ -402,7 +403,8 @@ def reconstruct_from_chains(
     y = np.vstack(rows)
     gram = y @ s
     resid = float(np.max(np.abs(gram - np.eye(n))))
-    scale = max(1.0, norm_inf(y) * norm_inf(s))
+    # The largest entry of |Y| |S| bounds the rounding of every Gram entry.
+    scale = max(1.0, float(np.max(np.abs(y) @ np.abs(s))))
     if not math.isfinite(resid) or resid > tol * scale:
         raise ValueError(
             f"rotated chain families are not biorthonormal (residual {resid:.3e}); "

@@ -18,6 +18,7 @@ recombination of them.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -245,29 +246,20 @@ def _pairs_to_json(values) -> list[list[float]]:
     return flat.view(np.float64).reshape(-1, 2).tolist()
 
 
-# Pairs converted per np.asarray call.  Converting a nested list whole
-# takes about twice the result's size in temporary buffers, which for a
-# large matrix raises the peak memory of the process.
-_DECODE_ROWS = 8192
-
-
 def _pairs_from_json(data, what: str) -> np.ndarray:
     """Inverse of :func:`_pairs_to_json`: a 1-D complex array from a list
-    of finite ``[re, im]`` pairs, or ValueError for anything else
-    (including numbers too large for a float)."""
+    of finite ``[re, im]`` pairs (lists or tuples of two numbers), or
+    ValueError for anything else (including numbers too large for a
+    float)."""
     try:
-        n = len(data)
-        arr = np.empty((n, 2))
-        for start in range(0, n, _DECODE_ROWS):
-            rows = np.asarray(data[start:start + _DECODE_ROWS], dtype=np.float64)
-            if rows.shape != (min(_DECODE_ROWS, n - start), 2):
-                raise ValueError("entries are not [re, im] pairs")
-            arr[start:start + _DECODE_ROWS] = rows
+        if not set(map(type, data)) <= {list, tuple} or set(map(len, data)) - {2}:
+            raise ValueError("entries are not [re, im] pairs")
+        arr = np.fromiter(itertools.chain.from_iterable(data), np.float64, count=2 * len(data))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a list of [re, im] number pairs: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} entries must be finite")
-    return arr.view(complex).reshape(-1)
+    return arr.view(complex)
 
 
 def _json_int(value, what: str) -> int:

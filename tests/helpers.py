@@ -5,8 +5,10 @@ throughout the suite; their block products, spectra, and zero-chain
 lengths are known exactly.  The brute-force partition oracle enumerates
 every residue labelling, independent of the potential/gcd method used by
 the library.  The entry-by-entry loops for h-cyclicity and circulants,
-the row-by-row elimination and the float-by-float JSON renderer are the
-references that the library's array and bulk versions must match exactly.
+the row-by-row elimination, the float-by-float JSON renderer, the
+dict-and-deque BFS of the partition search and the sliced pair decoder
+are the references that the library's array and bulk versions must
+match exactly.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -245,6 +248,94 @@ def _loop_render(value, parts: list[str]) -> None:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
+def loop_potential_data(g: Digraph):
+    """BFS potentials on the underlying graph; the weakly connected
+    components, each as (members, least potential, span of potentials);
+    and the gcd of all arc discrepancies |pot(i) + 1 - pot(j)|."""
+    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, g.n + 1)}
+    for i, j in g.arcs:
+        adj[i].append((j, 1))
+        adj[j].append((i, -1))
+    for v in adj:
+        adj[v].sort()
+    pot: dict[int, int] = {}
+    comps: list[tuple[list[int], int, int]] = []
+    for s in range(1, g.n + 1):
+        if s in pot:
+            continue
+        pot[s] = 0
+        members = [s]
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for w, step in adj[u]:
+                if w not in pot:
+                    pot[w] = pot[u] + step
+                    members.append(w)
+                    queue.append(w)
+        values = [pot[v] for v in members]
+        comps.append((sorted(members), min(values), max(values) - min(values) + 1))
+    g_all = 0
+    for i, j in g.arcs:
+        g_all = math.gcd(g_all, abs(pot[i] + 1 - pot[j]))
+    return pot, comps, g_all
+
+
+def loop_feasible_h_values(g: Digraph) -> list[int]:
+    """All h for which ``loop_find_h_partition`` succeeds, in increasing order."""
+    _, comps, idx = loop_potential_data(g)
+    if idx > 0:
+        return [h for h in range(1, idx + 1) if idx % h == 0]
+    return list(range(1, sum(span for _, _, span in comps) + 1))
+
+
+def loop_find_h_partition(g: Digraph, h: int) -> CyclicPartition | None:
+    """Cyclically h-partite partition from the dict potentials, vertex 1
+    in V_1, components placed end to end; None when there is none."""
+    pot, comps, idx = loop_potential_data(g)
+    if idx > 0 and idx % h != 0:
+        return None
+    labels: dict[int, int] = {}
+    cursor = 0
+    for members, lo, span in comps:
+        offset = cursor - lo
+        for v in members:
+            labels[v] = (pot[v] + offset) % h
+        cursor += min(span, h)
+    if cursor < h:
+        return None
+    shift = labels[1]
+    classes: list[list[int]] = [[] for _ in range(h)]
+    for v in range(1, g.n + 1):
+        classes[(labels[v] - shift) % h].append(v)
+    return CyclicPartition(h=h, classes=tuple(tuple(cls) for cls in classes))
+
+
+# Pairs converted per np.asarray call.  Converting a nested list whole
+# takes about twice the result's size in temporary buffers, which for a
+# large matrix raises the peak memory of the process.
+_DECODE_ROWS = 8192
+
+
+def loop_pairs_from_json(data, what: str) -> np.ndarray:
+    """A 1-D complex array from a list of finite ``[re, im]`` pairs, or
+    ValueError for anything else (including numbers too large for a
+    float)."""
+    try:
+        n = len(data)
+        arr = np.empty((n, 2))
+        for start in range(0, n, _DECODE_ROWS):
+            rows = np.asarray(data[start:start + _DECODE_ROWS], dtype=np.float64)
+            if rows.shape != (min(_DECODE_ROWS, n - start), 2):
+                raise ValueError("entries are not [re, im] pairs")
+            arr[start:start + _DECODE_ROWS] = rows
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{what} must be a list of [re, im] number pairs: {exc}") from exc
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} entries must be finite")
+    return arr.view(complex).reshape(-1)
+
+
 # Multiples of tol planted around the arc threshold |a_ij| > tol.
 THRESHOLD_FACTORS = (0.5, 1.0, 1.0 + 1e-7, 2.0)
 
@@ -259,6 +350,27 @@ def random_digraph(rng, n=None, density=0.25) -> Digraph:
         if rng.uniform() < density
     )
     return Digraph(n=n, arcs=arcs)
+
+
+def random_mixed_digraph(rng, n: int) -> Digraph:
+    """Digraph on 1..n split into random pieces, each with random arcs or
+    arcs planted from residue c to c + 1 mod some h; then a few self-loops
+    and reversed arcs (2-cycles).  Small pieces and sparse ones leave
+    isolated vertices and several weakly connected components."""
+    perm = rng.permutation(n) + 1
+    cuts = np.sort(rng.choice(np.arange(1, n), size=int(rng.integers(0, n)), replace=False))
+    arcs = set()
+    for piece in np.split(perm, cuts):
+        h = int(rng.integers(1, len(piece) + 1))
+        label = dict(zip(piece.tolist(), rng.integers(0, h, len(piece)).tolist()))
+        planted = rng.uniform() < 0.7
+        density = rng.choice([0.15, 0.4, 0.8])
+        for i, j in itertools.permutations(label, 2):
+            if (not planted or label[j] == (label[i] + 1) % h) and rng.uniform() < density:
+                arcs.add((i, j))
+    arcs |= {(v, v) for v in range(1, n + 1) if rng.uniform() < 0.03}
+    arcs |= {(j, i) for i, j in sorted(arcs) if rng.uniform() < 0.05}
+    return Digraph(n, arcs)
 
 
 def greedy_match(predicted, actual) -> float:

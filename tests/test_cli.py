@@ -330,6 +330,17 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "not biorthonormal" in err
 
+    @pytest.mark.parametrize(
+        "right, left",
+        [((1e100, 1e-200), (0.3e-100, 0.3e200)), ((1e200, 1e-200), (0.3e-200, 0.3e200))],
+    )
+    def test_reconstruct_scale_separated_chains_not_biorthonormal(self, capsys, files,
+                                                                 right, left):
+        # A Gram matrix of 0.6 I, off by 0.4 however large the chain norms.
+        code, out, err = run_cli(capsys, self._reconstruct_argv(files, right, left))
+        assert code == 2 and out == ""
+        assert "not biorthonormal" in err
+
     @staticmethod
     def _reconstruct_argv(files, right, left):
         def chain(orientation, entries):

@@ -126,6 +126,25 @@ class TestFindPartition:
     def test_feasible_values_six_example(self):
         assert feasible_h_values(digraph_of(helpers.six_matrix())) == [1, 3]
 
+    @settings(max_examples=300)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+    def test_matches_loop_oracle(self, seed, n):
+        # The array BFS against the dict-and-deque BFS it replaced: equal
+        # potentials, components and spans (they fix where each component's
+        # labels start), and equal results of every public search.
+        g = helpers.random_mixed_digraph(np.random.default_rng(seed), n)
+        pot, comps, idx = helpers.loop_potential_data(g)
+        rel, comp, span, got_idx = g._potential_data
+        assert got_idx == idx
+        assert span.tolist() == [s for _, _, s in comps]
+        for c, (members, lo, _) in enumerate(comps):
+            assert np.flatnonzero(comp == c).tolist() == [v - 1 for v in members]
+            assert [rel[v - 1] for v in members] == [pot[v] - lo for v in members]
+        assert cyclic_index(g) == idx
+        assert feasible_h_values(g) == helpers.loop_feasible_h_values(g)
+        for h in range(1, n + 1):
+            assert find_h_partition(g, h) == helpers.loop_find_h_partition(g, h)
+
 
 class TestIsHCyclic:
     def test_six_example(self, six):

@@ -424,6 +424,31 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct_from_chains([right], [right], [(1.0, 2)], part)
 
+    @staticmethod
+    def scaled_pair(right, left, length=1):
+        part = CyclicPartition(2, ((1,), (2,)))
+        chains = (JordanChain(1.0, "right", (np.array(right),)),
+                  JordanChain(1.0, "left", (np.array(left),)))
+        return reconstruct_from_chains([chains[0]], [chains[1]], [(1.0, length)], part)
+
+    @pytest.mark.parametrize(
+        "right, left",
+        [((1e100, 1e-200), (0.3e-100, 0.3e200)), ((1e200, 1e-200), (0.3e-200, 0.3e200))],
+    )
+    def test_scale_separated_chains_not_biorthonormal(self, right, left):
+        # The rotated Gram matrix is 0.6 I: off by 0.4 whatever the scales.
+        with pytest.raises(ValueError, match="not biorthonormal"):
+            self.scaled_pair(right, left)
+
+    def test_scale_separated_exact_pair(self):
+        a = self.scaled_pair((1e100, 1e-200), (0.5e-100, 0.5e200))
+        assert a.tolist() == [[0, 1e300], [1e-300, 0]]
+
+    @pytest.mark.parametrize("length", [1.5, 1.0, True])
+    def test_non_integer_length_rejected(self, length):
+        with pytest.raises(ValueError, match="must be an integer"):
+            self.scaled_pair((1e100, 1e-200), (0.5e-100, 0.5e200), length)
+
 
 def _eigen_orbit_data(a, h):
     """Group the spectrum into root-of-unity orbits and return base

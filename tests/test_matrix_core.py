@@ -14,7 +14,7 @@ from hcyclic import (
     null_space,
     submatrix,
 )
-from hcyclic.matrix_core import _pivot_threshold, _rref
+from hcyclic.matrix_core import _pairs_from_json, _pivot_threshold, _rref
 
 import helpers
 
@@ -22,6 +22,29 @@ finite_complex = st.complex_numbers(
     allow_nan=False, allow_infinity=False, max_magnitude=1e3
 )
 square5 = arrays(np.complex128, (5, 5), elements=finite_complex)
+
+# What a JSON document can put where a number is expected, and a few
+# Python numbers besides.
+json_scalars = st.one_of(
+    st.floats(),
+    st.integers(-2**70, 2**70),
+    st.just(10**400),
+    st.booleans(),
+    st.none(),
+    st.sampled_from(["1", "12", "-0", "nan", "x", ""]),
+    st.builds(np.float64, st.floats()),
+)
+float_pairs = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=2, max_size=2)
+pair_entries = st.one_of(
+    float_pairs,
+    float_pairs.map(tuple),
+    st.lists(json_scalars, min_size=2, max_size=2),
+    st.lists(json_scalars, max_size=3),
+    st.lists(float_pairs, min_size=2, max_size=2),
+    st.dictionaries(st.sampled_from(["re", "im"]), st.floats(), min_size=2),
+    json_scalars,
+    st.sampled_from(["12", "ab"]),
+)
 
 
 class TestHadamard:
@@ -247,8 +270,34 @@ class TestMatrixJson:
             {"rows": 1.0, "cols": 1, "data": [[0, 0]]},
             {"rows": 1, "cols": "1", "data": [[0, 0]]},
             {"rows": True, "cols": 1, "data": [[0, 0]]},
+            # Entries must be [re, im] lists: a two-character string is not.
+            {"rows": 1, "cols": 1, "data": ["12"]},
+            {"rows": 1, "cols": 2, "data": [1, 2]},
         ],
     )
     def test_malformed_rejected(self, doc):
         with pytest.raises(ValueError):
             matrix_from_json(doc)
+
+    @settings(max_examples=400)
+    @given(data=st.one_of(st.lists(float_pairs, max_size=8), st.lists(pair_entries, max_size=6)))
+    def test_pair_decoder_matches_sliced_loop(self, data):
+        # The one-pass decoder against the sliced np.asarray loop it
+        # replaced: the same bits, or ValueError from both.
+        try:
+            want = helpers.loop_pairs_from_json(data, "data")
+        except ValueError:
+            with pytest.raises(ValueError):
+                _pairs_from_json(data, "data")
+        else:
+            assert _pairs_from_json(data, "data").tobytes() == want.tobytes()
+
+    def test_pair_decoder_spans_slices(self, rng):
+        # Long enough for the loop to convert it in four slices.
+        data = rng.standard_normal((3 * 8192 + 5, 2)).tolist()
+        want = helpers.loop_pairs_from_json(data, "data")
+        assert _pairs_from_json(data, "data").tobytes() == want.tobytes()
+        data[-1] = [0.0]
+        for decode in (_pairs_from_json, helpers.loop_pairs_from_json):
+            with pytest.raises(ValueError, match="pairs"):
+                decode(data, "data")
