@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
 """Compare the hcyclic CLI of this checkout with that of another, byte for byte.
 
-    python3 scripts/cli_diff.py --base ../hcyclic-main [--seeds 1 2] [--tiny]
+    python3 scripts/cli_diff.py --base ../hcyclic-main [--seeds 1 2] [--tiny] [--tols 0 1e-6]
 
 For each benchmark workload and seed, ``perfbench/inputs.py`` of this
 checkout writes the inputs and the operation manifest into a temporary
 directory.  Every operation of the manifest then runs through
 ``hcyclic.cli.main`` of each checkout, in one child process per checkout
-with one BLAS thread, and the exit codes and stdout are compared.  Each
-mismatch is printed; the exit status is 1 if there is any.
+with one BLAS thread, and the exit codes and stdout are compared.  With
+``--tols``, every operation runs again once per value with ``--tol T``
+appended.  Each mismatch is printed; the exit status is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -71,15 +72,25 @@ def first_difference(a: str, b: str) -> str:
     return f"first difference at character {k}: base {a[k:k + 40]!r}, here {b[k:k + 40]!r}"
 
 
-def compare(base: Path, workload: str, seed: int, tiny: bool) -> int:
+def compare(base: Path, workload: str, seed: int, tiny: bool, tols: list[float]) -> int:
     with tempfile.TemporaryDirectory(prefix="cli_diff-") as tmp:
         cmd = [sys.executable, str(ROOT / "perfbench" / "inputs.py"), "--workload", workload,
                "--seed", str(seed), "--out", tmp] + (["--tiny"] if tiny else [])
         subprocess.run(cmd, check=True, env=child_env())
         manifest = Path(tmp) / "manifest.json"
-        labels = [op["label"] for op in json.loads(manifest.read_text())["ops"]]
-        ours = run_checkout(ROOT, manifest)
-        theirs = run_checkout(base, manifest)
+        spec = json.loads(manifest.read_text())
+        mismatches = compare_ops(base, manifest, spec["ops"], f"{workload} seed={seed}")
+        for tol in tols:
+            ops = [{**op, "argv": op["argv"] + ["--tol", repr(tol)]} for op in spec["ops"]]
+            manifest.write_text(json.dumps({**spec, "ops": ops}))
+            mismatches += compare_ops(base, manifest, ops, f"{workload} seed={seed} tol={tol!r}")
+    return mismatches
+
+
+def compare_ops(base: Path, manifest: Path, ops: list, name: str) -> int:
+    labels = [op["label"] for op in ops]
+    ours = run_checkout(ROOT, manifest)
+    theirs = run_checkout(base, manifest)
     mismatches = 0
     for label, (rc_b, out_b), (rc_h, out_h) in zip(labels, theirs, ours):
         if rc_b != rc_h:
@@ -89,7 +100,7 @@ def compare(base: Path, workload: str, seed: int, tiny: bool) -> int:
         else:
             continue
         mismatches += 1
-    print(f"{workload} seed={seed}: {len(labels)} operations, {mismatches} mismatches")
+    print(f"{name}: {len(labels)} operations, {mismatches} mismatches")
     return mismatches
 
 
@@ -99,11 +110,14 @@ def main(argv=None) -> int:
     parser.add_argument("--base", required=True, type=Path, help="checkout to compare against")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--tiny", action="store_true", help="the benchmark's smoke-test sizes")
+    parser.add_argument("--tols", type=float, nargs="+", default=[], metavar="T",
+                        help="also run every operation with --tol T, once per value")
     args = parser.parse_args(argv)
     base = args.base.resolve()
     if not (base / "src" / "hcyclic" / "cli.py").is_file():
         parser.error(f"{base} has no src/hcyclic/cli.py")
-    total = sum(compare(base, w, seed, args.tiny) for seed in args.seeds for w in WORKLOADS)
+    total = sum(compare(base, w, seed, args.tiny, args.tols)
+                for seed in args.seeds for w in WORKLOADS)
     print(f"total: {total} mismatches")
     return 1 if total else 0
 

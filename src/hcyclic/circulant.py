@@ -11,7 +11,7 @@ import cmath
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, _modulus, as_complex_matrix, as_complex_vector
+from .matrix_core import DEFAULT_TOL, _modulus, _threshold, as_complex_matrix, as_complex_vector
 
 __all__ = [
     "omega",
@@ -64,7 +64,7 @@ def recognize_circulant(c, tol: float = DEFAULT_TOL) -> np.ndarray | None:
     if cm.shape[0] != cm.shape[1]:
         raise ValueError(f"matrix must be square, got {cm.shape}")
     ref = cm[0].copy()
-    if np.any(_modulus(cm - ref[_diagonal_index(ref.size)]) > tol):
+    if np.any(_modulus(cm - ref[_diagonal_index(ref.size)]) > _threshold(tol)):
         return None
     return ref
 

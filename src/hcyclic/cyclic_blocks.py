@@ -20,7 +20,7 @@ from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
     _finite,
-    _power_scale,
+    _threshold,
     _weyr_weights,
     as_complex_matrix,
     matrix_rank,
@@ -160,7 +160,7 @@ def block_diagonal_power(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> 
     am, bc = _checked_cycle(a, part, tol)
     h = part.h
     power = _finite(np.linalg.matrix_power(am, h), "A^h")
-    thr = tol * _power_scale(max(1.0, norm_inf(am)), h)
+    thr = _threshold(tol, norm_inf(am), power=h)
     labels = part._labels
     resid = float(np.max(np.abs(power[labels[:, None] != labels[None, :]]), initial=0.0))
     if resid > thr:

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .matrix_core import DEFAULT_TOL, _json_int, _modulus, as_complex_matrix
+from .matrix_core import DEFAULT_TOL, _json_int, _modulus, _threshold, as_complex_matrix
 
 __all__ = [
     "Digraph",
@@ -216,7 +216,7 @@ def _arc_matrix(a, tol: float) -> np.ndarray:
     am = as_complex_matrix(a)
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")
-    return _modulus(am) > tol
+    return _modulus(am) > _threshold(tol)
 
 
 def cyclic_index(g: Digraph) -> int:

@@ -40,7 +40,7 @@ from .matrix_core import (
     _json_int,
     _pairs_from_json,
     _pairs_to_json,
-    _power_scale,
+    _threshold,
     _weyr_weights,
     as_complex_matrix,
     as_complex_vector,
@@ -125,7 +125,7 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
     else:
         op, vecs = am.T, chain.vectors[::-1]
     na = norm_inf(am)
-    thr = tol * max(1.0, na) * max(1.0, max(norm_inf(v) for v in vecs))
+    thr = _threshold(tol, na, max(norm_inf(v) for v in vecs))
     for j in range(p):
         coupled = vecs[j - 1] if j > 0 else 0.0
         if norm_inf(op @ vecs[j] - lam * vecs[j] - coupled) > thr:
@@ -138,10 +138,9 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
 
     # Redundant power form, iterated with the shifted matrix.
     shifted = op - lam * np.eye(am.shape[0])
-    grow = max(1.0, na + abs(lam))
     z = vecs[p - 1]
     for k in range(p, 0, -1):
-        step_thr = tol * _power_scale(grow, p - k) * max(1.0, norm_inf(vecs[p - 1]))
+        step_thr = _threshold(tol, na + abs(lam), norm_inf(vecs[p - 1]), power=p - k)
         if norm_inf(z - vecs[k - 1]) > step_thr:
             return False
         z = shifted @ z
@@ -235,18 +234,16 @@ def zero_chain_from_null_vector(
 def _zero_chain(am: np.ndarray, part: CyclicPartition, bc: BlockCycle, i: int, b_i: np.ndarray,
                 xv: np.ndarray, tol: float) -> ZeroChainReport:
     # ``am`` is h-cyclic for ``part`` with cycle blocks ``bc`` and B_i = b_i.
-    kernel_thr = tol * max(1.0, norm_inf(b_i)) * max(1.0, norm_inf(xv))
-    if norm_inf(b_i @ xv) > kernel_thr:
+    if norm_inf(b_i @ xv) > _threshold(tol, norm_inf(b_i), norm_inf(xv)):
         raise ValueError(f"seed vector is not in the kernel of cycle product B_{i}")
 
     v = embed_null_vector(xv, i, part)
-    na = max(1.0, norm_inf(am))
-    nx = max(1.0, norm_inf(xv))
+    na, nx = norm_inf(am), norm_inf(xv)
     powers = [v]
     p = 0
     for q in range(1, part.h + 1):
         w = am @ powers[-1]
-        if norm_inf(w) <= tol * _power_scale(na, q) * nx:
+        if norm_inf(w) <= _threshold(tol, na, nx, power=q):
             p = q
             break
         powers.append(w)
@@ -259,7 +256,7 @@ def _zero_chain(am: np.ndarray, part: CyclicPartition, bc: BlockCycle, i: int, b
     # Block-level minimality must agree with the full-matrix iteration.
     for q in range(1, p + 1):
         piece = partial_product(bc, i, q) @ xv
-        small = norm_inf(piece) <= tol * _power_scale(na, q) * nx
+        small = norm_inf(piece) <= _threshold(tol, na, nx, power=q)
         if small != (q == p):
             raise NumericalError(
                 f"partial product B_i{q} disagrees with the power iteration at class {i}"
@@ -404,8 +401,7 @@ def reconstruct_from_chains(
     gram = y @ s
     resid = float(np.max(np.abs(gram - np.eye(n))))
     # The largest entry of |Y| |S| bounds the rounding of every Gram entry.
-    scale = max(1.0, float(np.max(np.abs(y) @ np.abs(s))))
-    if not math.isfinite(resid) or resid > tol * scale:
+    if not math.isfinite(resid) or resid > _threshold(tol, float(np.max(np.abs(y) @ np.abs(s)))):
         raise ValueError(
             f"rotated chain families are not biorthonormal (residual {resid:.3e}); "
             "the rotation-symmetry hypotheses do not hold"
@@ -431,8 +427,8 @@ def reconstruct_from_chains(
         pos += m
     direct = s @ j_full @ y
     direct_resid = float(np.max(np.abs(out - direct)))
-    direct_scale = max(1.0, norm_inf(s) * norm_inf(j_full) * norm_inf(y))
-    if not math.isfinite(direct_resid) or direct_resid > tol * direct_scale:
+    direct_scale = norm_inf(s) * norm_inf(j_full) * norm_inf(y)
+    if not math.isfinite(direct_resid) or direct_resid > _threshold(tol, direct_scale):
         raise NumericalError(
             f"blockwise synthesis deviates from S J S^-1 by {direct_resid:.3e}"
         )

@@ -4,16 +4,17 @@ Everything operates on plain numpy arrays of ``complex128``.  Index sets
 for submatrix extraction are 1-based, matching the vertex and class
 numbering used by the digraph and block-cycle modules.
 
-Rank and kernel computations use Gauss-Jordan elimination with partial
-pivoting and an absolute pivot threshold scaled by the matrix magnitude:
-one array update per pivot, over the rows with a nonzero multiplier and
-the columns from the leftmost non-pivot column on.  The free columns come
-out bit for bit as a row-by-row loop leaves them, signed zeros included;
-the pivot columns hold zeros of either sign that no caller reads.  The
-kernel basis is returned in reduced-echelon "free variable" form, so for
-matrices with simple rational structure the basis vectors have the exact
-rational entries one would compute by hand, not an orthonormalized
-recombination of them.
+Every zero test of the package takes its threshold from :func:`_threshold`,
+the one place where the tolerance policy lives.  Rank and kernel use
+Gauss-Jordan elimination with partial pivoting and the pivot threshold
+``_threshold(tol, norm_inf(a))``: one array update per pivot, over the rows
+with a nonzero multiplier and the columns from the leftmost non-pivot
+column on.  The free columns come out bit for bit as a row-by-row loop
+leaves them, signed zeros included; the pivot columns hold zeros of either
+sign that no caller reads.  The kernel basis is returned in reduced-echelon
+"free variable" form, so for matrices with simple rational structure the
+basis vectors have the exact rational entries one would compute by hand,
+not an orthonormalized recombination of them.
 """
 
 from __future__ import annotations
@@ -90,13 +91,19 @@ def _finite(arr: np.ndarray, what: str) -> np.ndarray:
     return arr
 
 
-def _power_scale(base: float, p: int) -> float:
-    """``base ** p`` for a threshold scale, saturating at inf where the
-    power itself would raise OverflowError."""
-    try:
-        return base ** p
-    except OverflowError:
-        return math.inf
+def _threshold(tol: float, *scales: float, power: int = 1) -> float:
+    """The zero threshold ``tol * max(1, s_1)**power * max(1, s_2) * ...``,
+    multiplied left to right, with inf where the power overflows.  ``tol``
+    must be finite and >= 0 (else ValueError); tol = 0 gives exactly 0."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+    thr = tol
+    for k, scale in enumerate(scales):
+        try:
+            thr *= max(1.0, scale) ** (power if k == 0 else 1)
+        except OverflowError:
+            thr *= math.inf
+    return 0.0 if tol == 0.0 else thr
 
 
 def hadamard(a, b) -> np.ndarray:
@@ -177,15 +184,11 @@ def _rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def _pivot_threshold(a: np.ndarray, tol: float) -> float:
-    return tol * max(1.0, norm_inf(a))
-
-
 def matrix_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank from row reduction with pivot threshold
     ``tol * max(1, norm_inf(a))``."""
     am = as_complex_matrix(a)
-    _, pivots = _rref(am, _pivot_threshold(am, tol))
+    _, pivots = _rref(am, _threshold(tol, norm_inf(am)))
     return len(pivots)
 
 
@@ -205,7 +208,7 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
         keep whatever rational structure the input had.
     """
     am = as_complex_matrix(a)
-    rref, pivots = _rref(am, _pivot_threshold(am, tol))
+    rref, pivots = _rref(am, _threshold(tol, norm_inf(am)))
     n = am.shape[1]
     basis = []
     for f in sorted(set(range(n)) - set(pivots)):

@@ -6,9 +6,9 @@ lengths are known exactly.  The brute-force partition oracle enumerates
 every residue labelling, independent of the potential/gcd method used by
 the library.  The entry-by-entry loops for h-cyclicity and circulants,
 the row-by-row elimination, the float-by-float JSON renderer, the
-dict-and-deque BFS of the partition search and the sliced pair decoder
-are the references that the library's array and bulk versions must
-match exactly.
+dict-and-deque BFS of the partition search, the sliced pair decoder and
+the hand-written threshold expressions are the references that the
+library's array, bulk and shared versions must match exactly.
 """
 
 from __future__ import annotations
@@ -334,6 +334,34 @@ def loop_pairs_from_json(data, what: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{what} entries must be finite")
     return arr.view(complex).reshape(-1)
+
+
+def _power_scale(base: float, p: int) -> float:
+    """``base ** p`` for a threshold scale, saturating at inf where the
+    power itself would raise OverflowError."""
+    try:
+        return base ** p
+    except OverflowError:
+        return math.inf
+
+
+def loop_threshold(tol: float, *scales: float, power: int = 1) -> float:
+    """The zero threshold as each call site wrote it out by hand, picked by
+    the shape of the call: no scale (arc and circulant tests), one scale
+    (rank and kernel pivots, the Gram and S J S^-1 tests of reconstruction),
+    one scale to a power (A^h blocks), two scales (chain recursion, kernel
+    membership of a seed) and two scales with a power on the first (chain
+    power form, zero-chain power iteration)."""
+    if not scales:
+        return tol
+    if len(scales) == 1 and power == 1:
+        return tol * max(1.0, scales[0])
+    if len(scales) == 1:
+        return tol * _power_scale(max(1.0, scales[0]), power)
+    s1, s2 = scales
+    if power == 1:
+        return tol * max(1.0, s1) * max(1.0, s2)
+    return tol * _power_scale(max(1.0, s1), power) * max(1.0, s2)
 
 
 # Multiples of tol planted around the arc threshold |a_ij| > tol.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +16,7 @@ from hcyclic import (
     null_space,
     submatrix,
 )
-from hcyclic.matrix_core import _pairs_from_json, _pivot_threshold, _rref
+from hcyclic.matrix_core import _pairs_from_json, _rref, _threshold
 
 import helpers
 
@@ -218,7 +220,7 @@ def rref_input(rng, kind, m, n):
         return a, thr
     else:
         a = helpers.unit_disk((m, n), rng)
-    return a, _pivot_threshold(a, 1e-9)
+    return a, _threshold(1e-9, norm_inf(a))
 
 
 class TestRref:
@@ -301,3 +303,27 @@ class TestMatrixJson:
         for decode in (_pairs_from_json, helpers.loop_pairs_from_json):
             with pytest.raises(ValueError, match="pairs"):
                 decode(data, "data")
+
+
+# Threshold scales: the floor 1 and the values around it, subnormal,
+# huge and saturated ones, plus arbitrary finite nonnegative floats.
+THRESHOLD_SCALES = st.one_of(
+    st.sampled_from([0.0, 5e-324, 0.5, 1.0, 1e150, 1e308, math.inf]),
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+)
+
+
+class TestThreshold:
+    @settings(max_examples=500)
+    @given(
+        tol=st.sampled_from([0.0, 1e-300, 1e-9, 0.5, 1e300]),
+        scales=st.lists(THRESHOLD_SCALES, max_size=2),
+        power=st.integers(0, 400),
+    )
+    def test_matches_the_hand_written_expressions(self, tol, scales, power):
+        got = _threshold(tol, *scales, power=power)
+        if tol == 0.0:
+            # The hand-written forms give 0 * inf = NaN once a scale saturates.
+            assert got.hex() == "0x0.0p+0"
+        else:
+            assert got.hex() == helpers.loop_threshold(tol, *scales, power=power).hex()
