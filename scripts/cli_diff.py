@@ -2,14 +2,16 @@
 """Compare the hcyclic CLI of this checkout with that of another, byte for byte.
 
     python3 scripts/cli_diff.py --base ../hcyclic-main [--seeds 1 2] [--tiny] [--tols 0 1e-6]
+                                [--workloads zero-structure]
 
-For each benchmark workload and seed, ``perfbench/inputs.py`` of this
-checkout writes the inputs and the operation manifest into a temporary
-directory.  Every operation of the manifest then runs through
-``hcyclic.cli.main`` of each checkout, in one child process per checkout
-with one BLAS thread, and the exit codes and stdout are compared.  With
-``--tols``, every operation runs again once per value with ``--tol T``
-appended.  Each mismatch is printed; the exit status is 1 if there is any.
+For each benchmark workload (all, or those named with ``--workloads``)
+and seed, ``perfbench/inputs.py`` of this checkout writes the inputs and
+the operation manifest into a temporary directory.  Every operation of
+the manifest then runs through ``hcyclic.cli.main`` of each checkout, in
+one child process per checkout with one BLAS thread, and the exit codes
+and stdout are compared.  With ``--tols``, every operation runs again
+once per value with ``--tol T`` appended.  Each mismatch is printed; the
+exit status is 1 if there is any.
 """
 
 from __future__ import annotations
@@ -109,6 +111,8 @@ def main(argv=None) -> int:
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--base", required=True, type=Path, help="checkout to compare against")
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    parser.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS),
+                        metavar="W", help="workloads to compare (default: all)")
     parser.add_argument("--tiny", action="store_true", help="the benchmark's smoke-test sizes")
     parser.add_argument("--tols", type=float, nargs="+", default=[], metavar="T",
                         help="also run every operation with --tol T, once per value")
@@ -117,7 +121,7 @@ def main(argv=None) -> int:
     if not (base / "src" / "hcyclic" / "cli.py").is_file():
         parser.error(f"{base} has no src/hcyclic/cli.py")
     total = sum(compare(base, w, seed, args.tiny, args.tols)
-                for seed in args.seeds for w in WORKLOADS)
+                for seed in args.seeds for w in args.workloads)
     print(f"total: {total} mismatches")
     return 1 if total else 0
 

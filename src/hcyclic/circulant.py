@@ -26,17 +26,23 @@ __all__ = [
 
 def omega(h: int, k: int = 1) -> complex:
     """The h-th root of unity exp(2*pi*i*k/h)."""
-    if h < 1:
-        raise ValueError(f"root order must be >= 1, got {h}")
-    return cmath.exp(2j * cmath.pi * (k % h) / h)
+    return omega_pow(h, k, 1)
+
+
+# exp(2*pi*i*q/4) exactly, with +0.0 parts.
+_QUARTER_TURNS = (complex(1.0, 0.0), complex(0.0, 1.0), complex(-1.0, 0.0), complex(0.0, -1.0))
 
 
 def omega_pow(h: int, k: int, e: int) -> complex:
     """(omega_h^k)^e with the exponent reduced mod h before evaluating,
-    so huge or negative exponents lose no accuracy."""
+    so huge or negative exponents lose no accuracy; a multiple of a
+    quarter turn is exactly 1, i, -1 or -i."""
     if h < 1:
         raise ValueError(f"root order must be >= 1, got {h}")
-    return cmath.exp(2j * cmath.pi * ((k * e) % h) / h)
+    r = (k * e) % h
+    if 4 * r % h == 0:
+        return _QUARTER_TURNS[4 * r // h]
+    return cmath.exp(2j * cmath.pi * r / h)
 
 
 def _diagonal_index(n: int) -> np.ndarray:

@@ -5,7 +5,7 @@ for submatrix extraction are 1-based, matching the vertex and class
 numbering used by the digraph and block-cycle modules.
 
 Every zero test of the package takes its threshold from :func:`_threshold`,
-the one place where the tolerance policy lives.  Rank and kernel use
+the one place where the tolerance policy lives.  The kernel uses
 Gauss-Jordan elimination with partial pivoting and the pivot threshold
 ``_threshold(tol, norm_inf(a))``: one array update per pivot, over the rows
 with a nonzero multiplier and the columns from the leftmost non-pivot
@@ -14,7 +14,14 @@ leaves them, signed zeros included; the pivot columns hold zeros of either
 sign that no caller reads.  The kernel basis is returned in reduced-echelon
 "free variable" form, so for matrices with simple rational structure the
 basis vectors have the exact rational entries one would compute by hand,
-not an orthonormalized recombination of them.
+not an orthonormalized recombination of them.  The rank runs the forward
+half of the same elimination, with the same pivot decisions, and updates
+only the trailing block.
+
+The Weyr weights at zero rank a few powers of A, not every one: the
+nullity of A^k is concave in k, so a run of equal weights is found by
+galloping and bisection (:func:`_weyr_weights`).  A rank sequence that
+contradicts concavity raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -184,12 +191,41 @@ def _rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
+def _rank(a: np.ndarray, thr: float) -> int:
+    """``len(_rref(a, thr)[1])`` by forward elimination alone.
+
+    A pivot search reads only the rows at or below the current row, and
+    those rows get the updates of :func:`_rref` element for element: the
+    rows with a nonzero multiplier, minus the multiplier times the pivot
+    row divided by the pivot.  So every pivot is the same decision, and
+    only the trailing block is updated.
+    """
+    r = np.array(a, dtype=complex)
+    m, n = r.shape
+    row = 0
+    for col in range(n):
+        if row == m:
+            break
+        p = row + int(np.argmax(np.abs(r[row:, col])))
+        pivot = r[p, col]
+        if abs(pivot) <= thr:
+            continue
+        if p != row:
+            swap = r[p, col:].copy()
+            r[p, col:] = r[row, col:]
+            r[row, col:] = swap
+        below = row + 1 + np.flatnonzero(r[row + 1:, col])
+        row += 1
+        if len(below):
+            r[below, col + 1:] -= np.multiply.outer(r[below, col], r[row - 1, col + 1:] / pivot)
+    return row
+
+
 def matrix_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank from row reduction with pivot threshold
     ``tol * max(1, norm_inf(a))``."""
     am = as_complex_matrix(a)
-    _, pivots = _rref(am, _threshold(tol, norm_inf(am)))
-    return len(pivots)
+    return _rank(am, _threshold(tol, norm_inf(am)))
 
 
 def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
@@ -222,23 +258,65 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
 def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     """Nullity steps of the powers of the square matrix ``am``:
     w_k = nullity(A^k) - nullity(A^(k-1)) while positive.  Their sum is
-    the algebraic multiplicity of the eigenvalue zero."""
+    the algebraic multiplicity of the eigenvalue zero.
+
+    The weights never increase (nullity(A^k) is concave in k), so once a
+    weight w repeats, nullity(A^(k+d)) = nullity(A^k) + d*w proves every
+    weight in (k, k+d] to be w.  Probes go ahead at doubling distances,
+    capped where the nullity would pass n, and bisect back from the last
+    accepted checkpoint after a probe falls short.  Every power is formed
+    as ``prev @ am`` along one chain from I, so each A^k and each rank
+    decision is the one a step-by-step loop makes.  A weight above its
+    predecessor, or a probe above the linear extrapolation, contradicts
+    concavity and raises NumericalError.
+    """
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")
     n = am.shape[0]
     weights: list[int] = []
-    prev_nullity = 0
-    power = np.eye(n, dtype=complex)
-    for k in range(1, n + 1):
-        power = _finite(power @ am, f"A^{k}")
-        nullity = n - matrix_rank(power, tol)
-        w = nullity - prev_nullity
+    k, power, nullity = 0, np.eye(n, dtype=complex), 0  # the checkpoint A^k
+    known: dict[int, int] = {}  # nullity of every power ranked so far
+
+    def probe(j: int) -> tuple[np.ndarray, int]:
+        p = power
+        for i in range(k + 1, j + 1):
+            p = _finite(p @ am, f"A^{i}")
+        if j not in known:
+            known[j] = n - matrix_rank(p, tol)
+        return p, known[j]
+
+    while nullity < n:
+        step, new = probe(k + 1)
+        w = new - nullity
         if w <= 0:
             break
+        if weights and w > weights[-1]:
+            raise NumericalError(
+                f"Weyr weights increase at A^{k + 1} ({weights[-1]} then {w}): "
+                "the rank decisions contradict each other")
         weights.append(w)
-        prev_nullity = nullity
-        if nullity == n:
-            break
+        k, power, nullity = k + 1, step, new
+        if len(weights) < 2 or weights[-2] != w:
+            continue
+        # Gallop over the run of w: A^k is on it, A^past is known to be past
+        # it.  Probes double their distance d until one falls short, then
+        # (d = 0) bisect.
+        past = k + (n - nullity) // w + 1
+        d = 2
+        while past - k > 1:
+            j = min(k + d, past - 1) if d else (k + past) // 2
+            step, new = probe(j)
+            expect = nullity + (j - k) * w
+            if new > expect:
+                raise NumericalError(
+                    f"nullity of A^{j} is {new}, above {expect} from weight {w} at A^{k}: "
+                    "the rank decisions contradict each other")
+            if new == expect:
+                weights += [w] * (j - k)
+                k, power, nullity = j, step, new
+                d *= 2
+            else:
+                past, d = j, 0
     return tuple(weights)
 
 

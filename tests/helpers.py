@@ -5,10 +5,11 @@ throughout the suite; their block products, spectra, and zero-chain
 lengths are known exactly.  The brute-force partition oracle enumerates
 every residue labelling, independent of the potential/gcd method used by
 the library.  The entry-by-entry loops for h-cyclicity and circulants,
-the row-by-row elimination, the float-by-float JSON renderer, the
-dict-and-deque BFS of the partition search, the sliced pair decoder and
-the hand-written threshold expressions are the references that the
-library's array, bulk and shared versions must match exactly.
+the row-by-row elimination, the one-rank-per-power Weyr loop, the
+float-by-float JSON renderer, the dict-and-deque BFS of the partition
+search, the sliced pair decoder and the hand-written threshold
+expressions are the references that the library's array, bulk and
+shared versions must match exactly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hcyclic import CyclicPartition, Digraph, assemble_blocks
+from hcyclic import CyclicPartition, Digraph, assemble_blocks, matrix_rank
 
 
 def six_matrix() -> np.ndarray:
@@ -204,6 +205,60 @@ def loop_rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
         pivots.append(col)
         row += 1
     return r, pivots
+
+
+def unimodular(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Random integer m x m matrix U with integer inverse and small
+    entries: a signed permutation times (I + N)(I + M)^T, N and M
+    superdiagonal with entries in {-1, 0, 1}."""
+    def bidiag():
+        b = np.eye(m, dtype=np.int64)
+        b[np.arange(m - 1), np.arange(1, m)] = rng.integers(-1, 2, m - 1)
+        return b
+
+    p = np.zeros((m, m), dtype=np.int64)
+    p[np.arange(m), rng.permutation(m)] = rng.choice(np.array([-1, 1]), m)
+    u = p @ bidiag() @ bidiag().T
+    u_inv = np.rint(np.linalg.inv(u.astype(float))).astype(np.int64)
+    assert np.array_equal(u @ u_inv, np.eye(m, dtype=np.int64))
+    return u, u_inv
+
+
+def planted_jordan(rng, blocks, diagonal) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Integer A = U D U^-1 with D the nilpotent Jordan blocks of the given
+    orders followed by the nonzero integers ``diagonal``, and U from
+    :func:`unimodular`; returns A and its Weyr weights at zero, the
+    conjugate of the block orders."""
+    n = sum(blocks) + len(diagonal)
+    d = np.zeros((n, n), dtype=np.int64)
+    start = 0
+    for b in blocks:
+        d[np.arange(start, start + b - 1), np.arange(start + 1, start + b)] = 1
+        start += b
+    d[np.arange(start, n), np.arange(start, n)] = diagonal
+    u, u_inv = unimodular(rng, n)
+    weights = tuple(sum(1 for b in blocks if b >= k) for k in range(1, max(blocks, default=0) + 1))
+    return (u @ d @ u_inv).astype(complex), weights
+
+
+def loop_weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
+    """Nullity steps of the powers of the square matrix ``am``, one rank
+    per power: w_k = nullity(A^k) - nullity(A^(k-1)) while positive."""
+    n = am.shape[0]
+    weights: list[int] = []
+    prev_nullity = 0
+    power = np.eye(n, dtype=complex)
+    for k in range(1, n + 1):
+        power = power @ am
+        nullity = n - matrix_rank(power, tol)
+        w = nullity - prev_nullity
+        if w <= 0:
+            break
+        weights.append(w)
+        prev_nullity = nullity
+        if nullity == n:
+            break
+    return tuple(weights)
 
 
 def loop_render_json(value) -> str:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,6 +142,18 @@ class TestRootsOfUnity:
                 for e in range(-10, 11):
                     direct = omega(h, 1) ** (k * e)
                     assert abs(omega_pow(h, k, e) - direct) <= 1e-12
+
+    @pytest.mark.parametrize("h", [1, 2, 4, 6, 8, 12])
+    def test_quarter_turns_are_exact(self, h):
+        for k in range(h):
+            for e in range(-h, h + 1):
+                r = (k * e) % h
+                if 4 * r % h == 0:
+                    got = omega_pow(h, k, e)
+                    assert got == (1, 1j, -1, -1j)[4 * r // h]
+                    # The zero part is +0.0, which renders as 0, not -0.
+                    assert all(math.copysign(1.0, x) > 0 for x in (got.real, got.imag) if x == 0)
+        assert omega(h, h // 2) == (1 if h == 1 else -1)
 
     @pytest.mark.parametrize("h", range(1, 13))
     def test_geometric_sum(self, h):

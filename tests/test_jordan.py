@@ -382,6 +382,20 @@ class TestReconstruct:
         assert np.max(np.abs(a - expected)) <= 1e-12
         assert np.max(np.abs(a - s @ j @ sinv)) <= 1e-12
 
+    def test_bipartite_js_example_exact_at_tol_zero(self):
+        # omega_2 is exactly -1, so the rotated families are exactly
+        # biorthonormal and the synthesis is exact.
+        s, _ = self.bipartite_example()
+        sinv = np.linalg.inv(s)
+        part = CyclicPartition(2, ((1, 2), (3, 4)))
+        right = JordanChain(0j, "right", (s[:, 0], s[:, 1]))
+        left = JordanChain(0j, "left", (sinv[0], sinv[1]))
+        a = reconstruct_from_chains([right], [left], [(0j, 2)], part, tol=0.0)
+        expected = np.zeros((4, 4), dtype=complex)
+        expected[0, 3] = 1
+        expected[2, 1] = 1
+        assert np.array_equal(a, expected)
+
     def test_trivial_partition_is_plain_similarity(self, rng):
         # h = 1: the block mask is all-ones and the synthesis collapses to
         # lam*sum x_j y_j^T + sum x_j y_{j+1}^T, i.e. S J S^{-1}.

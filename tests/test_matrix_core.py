@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hcyclic import (
+    DEFAULT_TOL,
+    NumericalError,
     hadamard,
     jordan_block,
     matrix_from_json,
@@ -16,7 +18,8 @@ from hcyclic import (
     null_space,
     submatrix,
 )
-from hcyclic.matrix_core import _pairs_from_json, _rref, _threshold
+from hcyclic import matrix_core
+from hcyclic.matrix_core import _pairs_from_json, _rank, _rref, _threshold, _weyr_weights
 
 import helpers
 
@@ -246,6 +249,134 @@ class TestRref:
         a = np.array([[1e-3, 1.0], [0.0, 1.0]])
         assert _rref(a, 1e-3)[1] == [1]
         assert _rref(a, 1e-3 * (1 - 1e-7))[1] == [0, 1]
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kind=st.sampled_from(["complex", "product", "integer", "graded", "planted"]),
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        zero_tol=st.booleans(),
+    )
+    def test_rank_counts_rref_pivots(self, seed, kind, m, n, zero_tol):
+        a, thr = rref_input(np.random.default_rng(seed), kind, m, n)
+        thr = 0.0 if zero_tol else thr
+        assert _rank(a, thr) == len(_rref(a, thr)[1])
+
+    def test_rank_after_overflow_leaves_zero_multiplier_rows(self):
+        # The pivot row divided by 1e-300 overflows; the zero second row
+        # must stay zero (0 * inf would make it nan, counted as a pivot).
+        a = np.array([[1e-300, 1e10], [0.0, 0.0]], dtype=complex)
+        with np.errstate(over="ignore"):
+            assert _rank(a, 0.0) == len(_rref(a, 0.0)[1]) == 1
+
+
+def weyr_of_nullities(n, nullity_of):
+    """``_weyr_weights`` of the n x n matrix 2I, with the rank of each
+    power 2^k I scripted as n - nullity_of(k); also the list of the powers
+    k it ranked, in order."""
+    ranked = []
+
+    def scripted_rank(power, tol):
+        k = int(np.log2(power[0, 0].real))
+        ranked.append(k)
+        return n - nullity_of(k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_core, "matrix_rank", scripted_rank)
+        return _weyr_weights(2.0 * np.eye(n, dtype=complex), DEFAULT_TOL), ranked
+
+
+def is_nonincreasing(weights) -> bool:
+    return all(x >= y for x, y in zip(weights, weights[1:]))
+
+
+planted_blocks = st.lists(st.integers(1, 8), max_size=4)
+planted_diagonal = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=4)
+
+
+class TestWeyrWeights:
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks, diagonal=planted_diagonal)
+    def test_planted_weights_match_loop(self, seed, blocks, diagonal):
+        assume(blocks or diagonal)
+        a, weights = helpers.planted_jordan(np.random.default_rng(seed), blocks, diagonal)
+        assert _weyr_weights(a, DEFAULT_TOL) == helpers.loop_weyr_weights(a, DEFAULT_TOL) == weights
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks, diagonal=planted_diagonal)
+    def test_contradictions_raise_at_tol_zero(self, seed, blocks, diagonal):
+        # At tol 0 round-off can make the loop's weights increase.  The
+        # gallop then raises or skips the contradiction, and never reports
+        # increasing weights; where the loop is consistent it agrees.
+        assume(blocks or diagonal)
+        a, _ = helpers.planted_jordan(np.random.default_rng(seed), blocks, diagonal)
+        loop = helpers.loop_weyr_weights(a, 0.0)
+        try:
+            got = _weyr_weights(a, 0.0)
+        except NumericalError:
+            assert not is_nonincreasing(loop)
+            return
+        assert is_nonincreasing(got)
+        if is_nonincreasing(loop):
+            assert got == loop
+
+    def test_regression_loop_reads_increasing_weights(self):
+        # True weights (4, 4, 4, 4, 4, 2); at tol 0 round-off counted as
+        # pivots made the loop read (4, 4, 3, 5, 4, 2).  The gallop ranks
+        # A^1, A^2, A^4, A^6, A^5 and A^7, never A^3, and then reads the
+        # true weights; whatever the round-off, it never reports an increase.
+        a, weights = helpers.planted_jordan(np.random.default_rng(195), [6, 6, 5, 5], [1, 1])
+        assert weights == (4, 4, 4, 4, 4, 2)
+        assert _weyr_weights(a, DEFAULT_TOL) == weights
+        try:
+            got = _weyr_weights(a, 0.0)
+        except NumericalError:
+            return
+        assert is_nonincreasing(got)
+
+    @settings(max_examples=200)
+    @given(
+        steps=st.lists(st.integers(1, 9), max_size=40).map(lambda w: sorted(w, reverse=True)),
+        spare=st.integers(0, 3),
+    )
+    def test_gallop_finds_every_concave_sequence(self, steps, spare):
+        n = sum(steps) + spare
+        assume(n > 0)
+        got, ranked = weyr_of_nullities(n, lambda k: sum(steps[:k]))
+        assert got == tuple(steps)
+        assert len(ranked) == len(set(ranked))
+        # The loop ranks one power per weight, and one more unless A^k
+        # reaches nullity n.
+        assert len(ranked) <= len(steps) + (1 if spare else 0) + 1
+
+    def test_probes_double_then_stop_at_nullity_n(self):
+        # One nilpotent block of order 120: weights 1, 1 start the gallop,
+        # whose last probe is capped where the nullity reaches n.
+        got, ranked = weyr_of_nullities(120, lambda k: min(k, 120))
+        assert got == (1,) * 120
+        assert ranked == [1, 2, 4, 8, 16, 32, 64, 120]
+
+    def test_increasing_weight_raises(self):
+        with pytest.raises(NumericalError, match="increase at A\\^3"):
+            weyr_of_nullities(10, lambda k: (2, 3, 5, 6)[min(k, 4) - 1])
+
+    def test_probe_above_extrapolation_raises(self):
+        # Weights 2, 2, then the probe at A^4 reads 2 + 2 + 2 + 3 = 9 > 8.
+        with pytest.raises(NumericalError, match="nullity of A\\^4 is 9, above 8"):
+            weyr_of_nullities(12, lambda k: (2, 4, 6, 9, 12)[min(k, 5) - 1])
+
+    def test_long_nilpotent_block_needs_few_ranks(self, monkeypatch):
+        a, weights = helpers.planted_jordan(np.random.default_rng(7), [120], [])
+        calls = []
+
+        def counting_rank(power, tol):
+            calls.append(power.shape)
+            return matrix_rank(power, tol)
+
+        monkeypatch.setattr(matrix_core, "matrix_rank", counting_rank)
+        assert _weyr_weights(a, DEFAULT_TOL) == weights == (1,) * 120
+        assert len(calls) <= 30
 
 
 class TestMatrixJson:
