@@ -18,10 +18,13 @@ not an orthonormalized recombination of them.  The rank runs the forward
 half of the same elimination, with the same pivot decisions, and updates
 only the trailing block.
 
-The Weyr weights at zero rank a few powers of A, not every one: the
-nullity of A^k is concave in k, so a run of equal weights is found by
-galloping and bisection (:func:`_weyr_weights`).  A rank sequence that
-contradicts concavity raises :class:`NumericalError`.
+The Weyr weights at zero of a nilpotent integer A rank a few powers of
+A, not every one: the nullity of A^k is concave in k, so a run of equal
+weights is found by galloping and bisection (:func:`_weyr_weights`).
+Any other A has every power ranked, since the powers of a small nonzero
+eigenvalue sink below the pivot threshold and break concavity past the
+power where the ranks stop.  A rank sequence that contradicts concavity
+raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -255,18 +258,45 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
     return len(pivots), basis
 
 
+def _nilpotent(am: np.ndarray) -> bool:
+    """Whether ``am`` is certainly nilpotent: its entries are Gaussian
+    integers and A^(2^s), 2^s >= n, formed by squaring in integer
+    arithmetic that floating point carries out exactly, is zero.  False
+    when the entries are not integers or a square could round."""
+    if not np.array_equal(am, np.round(am)):
+        return False
+    n = am.shape[0]
+    p = am
+    for _ in range((n - 1).bit_length()):
+        big = max(np.max(np.abs(p.real)), np.max(np.abs(p.imag)))
+        # Every partial sum of p @ p, even with three real products per
+        # complex one, is an integer of modulus <= 4 n big^2: exact.
+        if 4 * n * big * big > 2.0**53:
+            return False
+        p = p @ p
+    return not p.any()
+
+
 def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     """Nullity steps of the powers of the square matrix ``am``:
     w_k = nullity(A^k) - nullity(A^(k-1)) while positive.  Their sum is
     the algebraic multiplicity of the eigenvalue zero.
 
-    The weights never increase (nullity(A^k) is concave in k), so once a
-    weight w repeats, nullity(A^(k+d)) = nullity(A^k) + d*w proves every
-    weight in (k, k+d] to be w.  Probes go ahead at doubling distances,
-    capped where the nullity would pass n, and bisect back from the last
-    accepted checkpoint after a probe falls short.  Every power is formed
-    as ``prev @ am`` along one chain from I, so each A^k and each rank
-    decision is the one a step-by-step loop makes.  A weight above its
+    Powers are formed as ``prev @ am`` along one chain from I and ranked
+    one at a time, as a step-by-step loop does, until a weight w repeats.
+    From there, if A is certainly nilpotent (:func:`_nilpotent`), the
+    search gallops: since the weights never increase, nullity(A^(k+d)) =
+    nullity(A^k) + d*w proves every weight in (k, k+d] to be w.  Probes go
+    ahead at doubling distances, capped where the nullity would pass n,
+    and bisect back from the last accepted checkpoint after a probe falls
+    short or overflows.  No power is ranked twice.
+
+    Only nilpotent A gallops.  A nonzero eigenvalue whose powers sink
+    below the pivot threshold adds nullity at powers past the one where
+    the loop stops, and a probe there could take that for weight w.  With
+    no nonzero eigenvalue the nullity rises until it reaches n, so every
+    probe lies within the powers the loop ranks, and the weights equal the
+    loop's wherever its ranks are consistent.  A weight above its
     predecessor, or a probe above the linear extrapolation, contradicts
     concavity and raises NumericalError.
     """
@@ -275,18 +305,19 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     n = am.shape[0]
     weights: list[int] = []
     k, power, nullity = 0, np.eye(n, dtype=complex), 0  # the checkpoint A^k
-    known: dict[int, int] = {}  # nullity of every power ranked so far
+    nilpotent = None  # decided at the first repeated weight
+    known: dict[int, int] = {}
 
-    def probe(j: int) -> tuple[np.ndarray, int]:
-        p = power
-        for i in range(k + 1, j + 1):
-            p = _finite(p @ am, f"A^{i}")
+    def nullity_of(j: int, p: np.ndarray) -> int:
+        # Each power is ranked once: a probe that fell short may be stepped
+        # to, or probed again in a later run.
         if j not in known:
             known[j] = n - matrix_rank(p, tol)
-        return p, known[j]
+        return known[j]
 
     while nullity < n:
-        step, new = probe(k + 1)
+        step = _finite(power @ am, f"A^{k + 1}")
+        new = nullity_of(k + 1, step)
         w = new - nullity
         if w <= 0:
             break
@@ -298,6 +329,10 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
         k, power, nullity = k + 1, step, new
         if len(weights) < 2 or weights[-2] != w:
             continue
+        if nilpotent is None:
+            nilpotent = _nilpotent(am)
+        if not nilpotent:
+            continue
         # Gallop over the run of w: A^k is on it, A^past is known to be past
         # it.  Probes double their distance d until one falls short, then
         # (d = 0) bisect.
@@ -305,7 +340,13 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
         d = 2
         while past - k > 1:
             j = min(k + d, past - 1) if d else (k + past) // 2
-            step, new = probe(j)
+            probe = power
+            for _ in range(k, j):
+                probe = probe @ am
+            if not np.all(np.isfinite(probe)):
+                past, d = j, 0  # the step to A^(k+1) raises if it overflows
+                continue
+            new = nullity_of(j, probe)
             expect = nullity + (j - k) * w
             if new > expect:
                 raise NumericalError(
@@ -313,7 +354,7 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
                     "the rank decisions contradict each other")
             if new == expect:
                 weights += [w] * (j - k)
-                k, power, nullity = j, step, new
+                k, power, nullity = j, probe, new
                 d *= 2
             else:
                 past, d = j, 0

@@ -225,12 +225,13 @@ def unimodular(rng, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def planted_jordan(rng, blocks, diagonal) -> tuple[np.ndarray, tuple[int, ...]]:
-    """Integer A = U D U^-1 with D the nilpotent Jordan blocks of the given
-    orders followed by the nonzero integers ``diagonal``, and U from
-    :func:`unimodular`; returns A and its Weyr weights at zero, the
-    conjugate of the block orders."""
+    """A = U D U^-1 with D the nilpotent Jordan blocks of the given orders
+    followed by the nonzero numbers ``diagonal``, and U from
+    :func:`unimodular`, so A is an integer matrix when ``diagonal`` is;
+    returns A and its Weyr weights at zero, the conjugate of the block
+    orders."""
     n = sum(blocks) + len(diagonal)
-    d = np.zeros((n, n), dtype=np.int64)
+    d = np.zeros((n, n))
     start = 0
     for b in blocks:
         d[np.arange(start, start + b - 1), np.arange(start + 1, start + b)] = 1

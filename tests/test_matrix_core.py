@@ -272,9 +272,9 @@ class TestRref:
 
 
 def weyr_of_nullities(n, nullity_of):
-    """``_weyr_weights`` of the n x n matrix 2I, with the rank of each
-    power 2^k I scripted as n - nullity_of(k); also the list of the powers
-    k it ranked, in order."""
+    """``_weyr_weights`` of the n x n matrix 2I, taken as nilpotent so that
+    it gallops, with the rank of each power 2^k I scripted as
+    n - nullity_of(k); also the list of the powers k it ranked, in order."""
     ranked = []
 
     def scripted_rank(power, tol):
@@ -284,6 +284,7 @@ def weyr_of_nullities(n, nullity_of):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_core, "matrix_rank", scripted_rank)
+        patch.setattr(matrix_core, "_nilpotent", lambda am: True)
         return _weyr_weights(2.0 * np.eye(n, dtype=complex), DEFAULT_TOL), ranked
 
 
@@ -292,16 +293,90 @@ def is_nonincreasing(weights) -> bool:
 
 
 planted_blocks = st.lists(st.integers(1, 8), max_size=4)
-planted_diagonal = st.lists(st.sampled_from([-2, -1, 1, 2]), max_size=4)
+INTEGER_DIAGONAL = (-2, -1, 1, 2)
+planted_diagonal = st.lists(st.sampled_from(INTEGER_DIAGONAL + (0.05, 0.5)), max_size=4)
+
+
+def jordan_plus_scalar(order, scalar, count):
+    """The Jordan block J_order at zero beside scalar * I_count."""
+    a = np.zeros((order + count, order + count), dtype=complex)
+    a[:order, :order] = jordan_block(order, 0)
+    a[order:, order:] = scalar * np.eye(count)
+    return a
 
 
 class TestWeyrWeights:
-    @settings(max_examples=60)
+    @settings(max_examples=80)
     @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks, diagonal=planted_diagonal)
     def test_planted_weights_match_loop(self, seed, blocks, diagonal):
+        # Where the loop's weights do not increase they are the answer;
+        # where they do, the powers of 0.05 sank below the pivot threshold
+        # within the loop's reach, and the contradiction raises.  With
+        # integer eigenvalues nothing sinks, and the loop reads the planted
+        # weights.
         assume(blocks or diagonal)
         a, weights = helpers.planted_jordan(np.random.default_rng(seed), blocks, diagonal)
-        assert _weyr_weights(a, DEFAULT_TOL) == helpers.loop_weyr_weights(a, DEFAULT_TOL) == weights
+        loop = helpers.loop_weyr_weights(a, DEFAULT_TOL)
+        if is_nonincreasing(loop):
+            assert _weyr_weights(a, DEFAULT_TOL) == loop
+        else:
+            with pytest.raises(NumericalError, match="increase"):
+                _weyr_weights(a, DEFAULT_TOL)
+        if set(diagonal) <= set(INTEGER_DIAGONAL):
+            assert loop == weights
+
+    @pytest.mark.parametrize("diagonal", [[0.05] * 4, [0.05] * 10, [0.05] * 4 + [2]])
+    def test_small_eigenvalue_does_not_extend_the_run(self, diagonal):
+        # 0.05^5 is above the pivot threshold, so the loop stops at A^5
+        # with weights (1, 1, 1, 1); 0.05^8 is below it, so a probe at A^8
+        # would read nullity 4 + 4 and take it for weight 1 up to A^8, or
+        # read 4 + 10 and take it for a contradiction.  The eigenvalue 2
+        # makes every threshold relative to its own power, with the same
+        # result.  A is not nilpotent and does not gallop.
+        a = np.zeros((4 + len(diagonal),) * 2, dtype=complex)
+        a[:4, :4] = jordan_block(4, 0)
+        a[4:, 4:] = np.diag(diagonal)
+        assert not matrix_core._nilpotent(a)
+        assert _weyr_weights(a, DEFAULT_TOL) == helpers.loop_weyr_weights(a, DEFAULT_TOL) == (1,) * 4
+
+    def test_overflowing_power_past_the_run(self):
+        # At tol 0 the ranks of this block-diagonal A are exact: the loop
+        # stops at A^65 (about 1e195), and A^103 would overflow.  (At the
+        # default tol the threshold 1e-9 * 1000^3 swallows J^3, and the
+        # weights (1, 1, 62) raise.)
+        a = jordan_plus_scalar(64, 1000.0, 64)
+        assert _weyr_weights(a, 0.0) == helpers.loop_weyr_weights(a, 0.0) == (1,) * 64
+        with pytest.raises(NumericalError, match="increase at A\\^3 \\(1 then 62\\)"):
+            _weyr_weights(a, DEFAULT_TOL)
+
+    def test_overflowing_probe_falls_short(self, monkeypatch):
+        # Taken as nilpotent, the same matrix gallops; its probe at A^128
+        # overflows, which bisects back instead of raising.
+        monkeypatch.setattr(matrix_core, "_nilpotent", lambda am: True)
+        a = jordan_plus_scalar(64, 1000.0, 64)
+        assert _weyr_weights(a, 0.0) == (1,) * 64
+
+    @pytest.mark.parametrize("a, expected", [
+        (np.zeros((1, 1)), True),
+        (np.ones((1, 1)), False),
+        (jordan_block(5, 0), True),
+        (1j * jordan_block(5, 0), True),
+        (jordan_plus_scalar(4, 0.05, 4), False),  # not integer
+        (jordan_plus_scalar(4, 1, 4), False),
+        (0.5 * jordan_block(5, 0), False),  # not integer, though nilpotent
+        (2.0**30 * jordan_block(5, 0), False),  # its squares could round
+    ])
+    def test_nilpotent_certificate(self, a, expected):
+        assert matrix_core._nilpotent(np.asarray(a, dtype=complex)) is expected
+
+    @settings(max_examples=40)
+    @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks)
+    def test_planted_nilpotent_is_certified(self, seed, blocks):
+        assume(blocks)
+        a, _ = helpers.planted_jordan(np.random.default_rng(seed), blocks, [])
+        assert matrix_core._nilpotent(a)
+        a, _ = helpers.planted_jordan(np.random.default_rng(seed), blocks, [1])
+        assert not matrix_core._nilpotent(a)
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks, diagonal=planted_diagonal)
@@ -330,17 +405,14 @@ class TestWeyrWeights:
 
     def test_regression_loop_reads_increasing_weights(self):
         # True weights (4, 4, 4, 4, 4, 2); at tol 0 round-off counted as
-        # pivots made the loop read (4, 4, 3, 5, 4, 2).  The gallop ranks
-        # A^1, A^2, A^4, A^6, A^5 and A^7, never A^3, and then reads the
-        # true weights; whatever the round-off, it never reports an increase.
+        # pivots makes the loop read (4, 4, 3, 5, 4, 2).  A is not
+        # nilpotent, so every power is ranked, and the increase raises.
         a, weights = helpers.planted_jordan(np.random.default_rng(195), [6, 6, 5, 5], [1, 1])
         assert weights == (4, 4, 4, 4, 4, 2)
+        assert helpers.loop_weyr_weights(a, 0.0) == (4, 4, 3, 5, 4, 2)
         assert _weyr_weights(a, DEFAULT_TOL) == weights
-        try:
-            got = _weyr_weights(a, 0.0)
-        except NumericalError:
-            return
-        assert is_nonincreasing(got)
+        with pytest.raises(NumericalError, match="increase at A\\^4 \\(3 then 5\\)"):
+            _weyr_weights(a, 0.0)
 
     @settings(max_examples=200)
     @given(
