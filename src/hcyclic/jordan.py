@@ -232,10 +232,12 @@ def zero_chain_from_null_vector(
 
 
 def _zero_chain(am: np.ndarray, part: CyclicPartition, bc: BlockCycle, i: int, b_i: np.ndarray,
-                xv: np.ndarray, tol: float) -> ZeroChainReport:
+                xv: np.ndarray, tol: float, not_kernel=ValueError) -> ZeroChainReport:
     # ``am`` is h-cyclic for ``part`` with cycle blocks ``bc`` and B_i = b_i.
+    # A seed outside the kernel is bad input, or, for a basis vector that
+    # null_space returned, a NumericalError (``not_kernel``).
     if norm_inf(b_i @ xv) > _threshold(tol, norm_inf(b_i), norm_inf(xv)):
-        raise ValueError(f"seed vector is not in the kernel of cycle product B_{i}")
+        raise not_kernel(f"seed vector is not in the kernel of cycle product B_{i}")
 
     v = embed_null_vector(xv, i, part)
     na, nx = norm_inf(am), norm_inf(xv)
@@ -329,7 +331,7 @@ def zero_chains_all(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> ZeroC
     for i in range(1, part.h + 1):
         b_i = partial_product(bc, i, part.h)
         for vec in null_space(b_i, tol)[1]:
-            reports.append(_zero_chain(am, part, bc, i, b_i, vec, tol))
+            reports.append(_zero_chain(am, part, bc, i, b_i, vec, tol, NumericalError))
     return ZeroChainSummary(
         reports=tuple(reports),
         weyr=weyr_zero(am, tol),

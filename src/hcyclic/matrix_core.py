@@ -20,7 +20,8 @@ only the trailing block.
 
 The Weyr weights at zero of a nilpotent integer A rank a few powers of
 A, not every one: the nullity of A^k is concave in k, so a run of equal
-weights is found by galloping and bisection (:func:`_weyr_weights`).
+weights is found by galloping and bisection (:func:`_weyr_weights`),
+one exact product per probe, in float64 when A is real.
 Any other A has every power ranked, since the powers of a small nonzero
 eigenvalue sink below the pivot threshold and break concavity past the
 power where the ranks stop.  A rank sequence that contradicts concavity
@@ -59,7 +60,11 @@ class NumericalError(RuntimeError):
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex array, rejecting NaN/Inf entries."""
-    arr = np.asarray(a, dtype=complex)
+    return _checked_matrix(np.asarray(a, dtype=complex))
+
+
+def _checked_matrix(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if it is a nonempty 2-D matrix with finite entries, else ValueError."""
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -226,8 +231,10 @@ def _rank(a: np.ndarray, thr: float) -> int:
 
 def matrix_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank from row reduction with pivot threshold
-    ``tol * max(1, norm_inf(a))``."""
-    am = as_complex_matrix(a)
+    ``tol * max(1, norm_inf(a))``.  A float64 array is checked as it is:
+    :func:`_rank` makes its only complex copy."""
+    real = isinstance(a, np.ndarray) and a.dtype == np.float64
+    am = _checked_matrix(a) if real else as_complex_matrix(a)
     return _rank(am, _threshold(tol, norm_inf(am)))
 
 
@@ -258,22 +265,29 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
     return len(pivots), basis
 
 
+def _exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """``x @ y`` for matrices of Gaussian integers, or None when a sum could
+    round.  Every partial sum, even with three real products per complex
+    one, is an integer of modulus <= 4 n max|x| max|y|, the maxima taken
+    over real and imaginary parts: exact while that is <= 2^53."""
+    bound = 4.0 * x.shape[1]
+    for m in (x, y):
+        bound *= float(max(np.max(np.abs(m.real)), np.max(np.abs(m.imag))))
+    return None if bound > 2.0**53 else x @ y
+
+
 def _nilpotent(am: np.ndarray) -> bool:
     """Whether ``am`` is certainly nilpotent: its entries are Gaussian
-    integers and A^(2^s), 2^s >= n, formed by squaring in integer
-    arithmetic that floating point carries out exactly, is zero.  False
+    integers and A^(2^s), 2^s >= n, formed by exact squaring
+    (:func:`_exact_product`, in float64 when A is real), is zero.  False
     when the entries are not integers or a square could round."""
     if not np.array_equal(am, np.round(am)):
         return False
-    n = am.shape[0]
-    p = am
-    for _ in range((n - 1).bit_length()):
-        big = max(np.max(np.abs(p.real)), np.max(np.abs(p.imag)))
-        # Every partial sum of p @ p, even with three real products per
-        # complex one, is an integer of modulus <= 4 n big^2: exact.
-        if 4 * n * big * big > 2.0**53:
+    p = am if am.imag.any() else am.real.copy()
+    for _ in range((am.shape[0] - 1).bit_length()):
+        p = _exact_product(p, p)
+        if p is None:
             return False
-        p = p @ p
     return not p.any()
 
 
@@ -286,10 +300,15 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     one at a time, as a step-by-step loop does, until a weight w repeats.
     From there, if A is certainly nilpotent (:func:`_nilpotent`), the
     search gallops: since the weights never increase, nullity(A^(k+d)) =
-    nullity(A^k) + d*w proves every weight in (k, k+d] to be w.  Probes go
-    ahead at doubling distances, capped where the nullity would pass n,
-    and bisect back from the last accepted checkpoint after a probe falls
-    short or overflows.  No power is ranked twice.
+    nullity(A^k) + d*w proves every weight in (k, k+d] to be w.  A probe
+    at d = 2^i is the one product A^k A^(2^i).  i grows by one after each
+    accepted probe and shrinks to keep A^(k+2^i) before the first power
+    known to be past the run, so after a probe falls short the search
+    bisects.  Only the current square is kept, formed again from A when i
+    shrinks.  No power is ranked twice.  These products are exact
+    (:func:`_exact_product`), so they give the bits of any other product
+    order, and are formed in float64 when A is real; a probe that could
+    round falls short instead.
 
     Only nilpotent A gallops.  A nonzero eigenvalue whose powers sink
     below the pivot threshold adds nullity at powers past the one where
@@ -331,22 +350,23 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
             continue
         if nilpotent is None:
             nilpotent = _nilpotent(am)
+            base = am if am.imag.any() else am.real.copy()
         if not nilpotent:
             continue
         # Gallop over the run of w: A^k is on it, A^past is known to be past
-        # it.  Probes double their distance d until one falls short, then
-        # (d = 0) bisect.
+        # it.  ``square`` is A^(2^s), or None where squaring could round.
         past = k + (n - nullity) // w + 1
-        d = 2
+        power = power if base is am else power.real.copy()
+        i, s, square = 1, 0, base
         while past - k > 1:
-            j = min(k + d, past - 1) if d else (k + past) // 2
-            probe = power
-            for _ in range(k, j):
-                probe = probe @ am
-            if not np.all(np.isfinite(probe)):
-                past, d = j, 0  # the step to A^(k+1) raises if it overflows
-                continue
-            new = nullity_of(j, probe)
+            i = min(i, (past - k - 1).bit_length() - 1)
+            if s > i:
+                s, square = 0, base
+            while square is not None and s < i:
+                s, square = s + 1, _exact_product(square, square)
+            j = k + 2**i
+            probe = None if square is None else _exact_product(power, square)
+            new = -1 if probe is None else nullity_of(j, probe)  # -1: falls short
             expect = nullity + (j - k) * w
             if new > expect:
                 raise NumericalError(
@@ -355,9 +375,10 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
             if new == expect:
                 weights += [w] * (j - k)
                 k, power, nullity = j, probe, new
-                d *= 2
+                i += 1
             else:
-                past, d = j, 0
+                past = j
+        power = power.astype(complex, copy=False)
     return tuple(weights)
 
 

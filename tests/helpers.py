@@ -77,6 +77,17 @@ def scale_separated_matrix() -> np.ndarray:
 SCALE_SEPARATED_PARTITION = CyclicPartition(2, ((1, 2), (3,)))
 
 
+def inexact_kernel_matrix() -> np.ndarray:
+    """2-cyclic matrix with classes {1, 2}, {3, 4}, A_12 = [[49, 1], [0, 0]]
+    and A_21 = I, so B_1 = A_12.  Its kernel vector (-1/49, 1) is not
+    exact in floating point: B_1 applied to it leaves 1 - 49 * (1/49) =
+    8e-17, which fails the kernel test at tol 0."""
+    return assemble_blocks([np.array([[49.0, 1.0], [0.0, 0.0]]), np.eye(2)])
+
+
+INEXACT_KERNEL_PARTITION = CyclicPartition(2, ((1, 2), (3, 4)))
+
+
 def unit_disk(shape, rng) -> np.ndarray:
     """Complex samples uniform on the unit disk."""
     radius = np.sqrt(rng.uniform(0.0, 1.0, shape))

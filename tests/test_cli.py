@@ -299,6 +299,19 @@ class TestExitCodes:
         )
         assert code == 1 and err
 
+    def test_own_kernel_vector_failing_the_kernel_test_exits_1(self, capsys, files):
+        # At tol 0 a kernel vector of null_space fails the kernel test by
+        # round-off: numerical failure, exit 1, not invalid input.
+        matrix = files["write"]("inexact.json", matrix_to_json(helpers.inexact_kernel_matrix()))
+        part = files["write"](
+            "inexact_part.json", partition_to_json(helpers.INEXACT_KERNEL_PARTITION)
+        )
+        argv = ["zero-chains", "--matrix", matrix, "--partition", part]
+        assert run_cli(capsys, argv)[0] == 0
+        code, out, err = run_cli(capsys, argv + ["--tol", "0"])
+        assert code == 1 and out == ""
+        assert "not in the kernel of cycle product B_1" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "command", ["blocks", "power", "spectrum", "check", "zero-chains", "weyr"]

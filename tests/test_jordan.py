@@ -10,6 +10,7 @@ import hcyclic.jordan
 from hcyclic import (
     CyclicPartition,
     JordanChain,
+    NumericalError,
     assemble_blocks,
     basic_circulant,
     chain_from_json,
@@ -224,6 +225,17 @@ class TestZeroChains:
         a, part = twelve
         with pytest.raises(ValueError):
             zero_chain_from_null_vector(a, part, 1, np.array([1, 0, 0, 0]))
+
+    def test_own_kernel_vector_failing_the_kernel_test_is_numerical(self):
+        # At tol 0 the kernel vector that null_space returns fails the
+        # kernel test by round-off: an internal inconsistency, not bad
+        # input.  The same vector given as a seed is bad input.
+        a, part = helpers.inexact_kernel_matrix(), helpers.INEXACT_KERNEL_PARTITION
+        assert zero_chains_all(a, part).lengths_by_class() == {1: [2], 2: [1]}
+        with pytest.raises(NumericalError, match="not in the kernel of cycle product B_1"):
+            zero_chains_all(a, part, tol=0.0)
+        with pytest.raises(ValueError, match="not in the kernel of cycle product B_1"):
+            zero_chain_from_null_vector(a, part, 1, np.array([-1 / 49, 1]), tol=0.0)
 
     def test_zero_seed_rejected(self, twelve):
         a, part = twelve

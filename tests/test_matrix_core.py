@@ -272,20 +272,63 @@ class TestRref:
 
 
 def weyr_of_nullities(n, nullity_of):
-    """``_weyr_weights`` of the n x n matrix 2I, taken as nilpotent so that
-    it gallops, with the rank of each power 2^k I scripted as
-    n - nullity_of(k); also the list of the powers k it ranked, in order."""
+    """``_weyr_weights`` of the n x n cyclic shift S (S e_i = e_(i+1 mod n)),
+    taken as nilpotent so that it gallops, with the rank of each power S^k,
+    1 <= k <= n, scripted as n - nullity_of(k); also the list of the powers
+    k it ranked, in order.  S^k is told by the row of the 1 in its first
+    column, and its 0/1 entries keep every product of the gallop exact."""
     ranked = []
 
     def scripted_rank(power, tol):
-        k = int(np.log2(power[0, 0].real))
+        k = int(np.flatnonzero(power[:, 0])[0]) or n
         ranked.append(k)
         return n - nullity_of(k)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(matrix_core, "matrix_rank", scripted_rank)
         patch.setattr(matrix_core, "_nilpotent", lambda am: True)
-        return _weyr_weights(2.0 * np.eye(n, dtype=complex), DEFAULT_TOL), ranked
+        return _weyr_weights(np.roll(np.eye(n, dtype=complex), 1, axis=0), DEFAULT_TOL), ranked
+
+
+def exact_power_exponents(a, scale, tol):
+    """``_weyr_weights(scale * a, tol)`` for an integer-valued matrix ``a``
+    and scale 1 or 1j, and, for each matrix it ranked in order, the least
+    j with that matrix equal to the exact power (scale a)^j formed in
+    int64, or None if it equals none."""
+    ints = np.rint(a.real).astype(np.int64)
+    exact = [scale**j * np.linalg.matrix_power(ints, j) for j in range(1, a.shape[0] + 1)]
+    ranked = []
+
+    def recording_rank(power, tol):
+        ranked.append(next((j for j, e in enumerate(exact, 1) if np.array_equal(power, e)), None))
+        return matrix_rank(power, tol)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matrix_core, "matrix_rank", recording_rank)
+        return _weyr_weights(scale * np.asarray(a, dtype=complex), tol), ranked
+
+
+def counting_products(a: np.ndarray) -> np.ndarray:
+    """A view of ``a`` whose class attribute ``products`` counts the matrix
+    products (``@``, ``np.matmul``) taken with it, or with any array
+    computed from it."""
+
+    class Counter(np.ndarray):
+        products = 0
+
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and method == "__call__":
+                Counter.products += 1
+
+            def plain(xs):
+                return tuple(x.view(np.ndarray) if isinstance(x, Counter) else x for x in xs)
+
+            if "out" in kwargs:
+                kwargs["out"] = plain(kwargs["out"])
+            result = getattr(ufunc, method)(*plain(inputs), **kwargs)
+            return result.view(Counter) if isinstance(result, np.ndarray) else result
+
+    return a.view(Counter)
 
 
 def is_nonincreasing(weights) -> bool:
@@ -379,6 +422,32 @@ class TestWeyrWeights:
         assert not matrix_core._nilpotent(a)
 
     @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks, scale=st.sampled_from([1, 1j]))
+    def test_ranked_powers_are_exact(self, seed, blocks, scale):
+        # A planted nilpotent A, real-valued (the gallop runs in float64)
+        # or times i (in complex): every power ranked, plain step or gallop
+        # probe, is the exact integer power, and the weights are the loop's.
+        assume(blocks)
+        a, weights = helpers.planted_jordan(np.random.default_rng(seed), blocks, [])
+        got, ranked = exact_power_exponents(a, scale, DEFAULT_TOL)
+        assert None not in ranked
+        assert got == helpers.loop_weyr_weights(scale * a, DEFAULT_TOL) == weights
+
+    def test_probe_that_could_round_falls_short(self):
+        # A = 50 J_8 + J_16 + J_1, n = 25.  The certificate's largest square,
+        # A^4 A^4, keeps 4 n 50^8 <= 2^53, and so does every product of the
+        # gallop but one: from A^5 it would probe A^5 A^4, whose sums could
+        # reach 4 n 50^9 > 2^53.  That probe falls short, so the gallop
+        # bisects to A^7 and A^8, and A^9 is ranked when the loop steps to it.
+        a = np.zeros((25, 25))
+        a[:8, :8] = 50 * jordan_block(8, 0).real
+        a[8:24, 8:24] = jordan_block(16, 0).real
+        assert matrix_core._nilpotent(a.astype(complex))
+        got, ranked = exact_power_exponents(a, 1, 0.0)
+        assert got == helpers.loop_weyr_weights(a.astype(complex), 0.0) == (3,) + (2,) * 7 + (1,) * 8
+        assert ranked[:7] == [1, 2, 3, 5, 7, 8, 9]
+
+    @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks, diagonal=planted_diagonal)
     def test_contradictions_raise_at_tol_zero(self, seed, blocks, diagonal):
         # At tol 0 round-off counted as pivots can make the nullities of
@@ -430,11 +499,12 @@ class TestWeyrWeights:
         assert len(ranked) <= len(steps) + (1 if spare else 0) + 1
 
     def test_probes_double_then_stop_at_nullity_n(self):
-        # One nilpotent block of order 120: weights 1, 1 start the gallop,
-        # whose last probe is capped where the nullity reaches n.
+        # One nilpotent block of order 120: weights 1, 1 start the gallop.
+        # Its probes step 2, 4, ..., 32 ahead of the checkpoint, then the
+        # largest power of two that keeps the nullity at most n: 32, 16, 8.
         got, ranked = weyr_of_nullities(120, lambda k: min(k, 120))
         assert got == (1,) * 120
-        assert ranked == [1, 2, 4, 8, 16, 32, 64, 120]
+        assert ranked == [1, 2, 4, 8, 16, 32, 64, 96, 112, 120]
 
     def test_increasing_weight_raises(self):
         with pytest.raises(NumericalError, match="increase at A\\^3"):
@@ -456,6 +526,13 @@ class TestWeyrWeights:
         monkeypatch.setattr(matrix_core, "matrix_rank", counting_rank)
         assert _weyr_weights(a, DEFAULT_TOL) == weights == (1,) * 120
         assert len(calls) <= 30
+
+    def test_long_nilpotent_block_needs_few_products(self):
+        # One product per probe, and a few squarings: 29 products here.
+        a, weights = helpers.planted_jordan(np.random.default_rng(7), [120], [])
+        a = counting_products(a)
+        assert _weyr_weights(a, DEFAULT_TOL) == weights == (1,) * 120
+        assert type(a).products <= 60
 
 
 class TestMatrixJson:
