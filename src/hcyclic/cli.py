@@ -7,11 +7,20 @@ fixed, so output is byte-stable across runs.  Exit codes: 0 success,
 2 validation problem (malformed input, numbers not representable as
 finite floats, dimension or partition mismatch), 1 internal numerical
 failure (including overflow of products and powers of valid input).
+
+Each call of :func:`main` runs with the cyclic garbage collector paused
+and restores the caller's collector state on the way out.  Unpaused, the
+collector rescans the growing parse tree of a large JSON document again
+and again while ``json.loads`` builds it.  The pause leaves nothing for
+later: the argument parser, the one structure with reference cycles, is
+built once per process, and nothing else a call builds forms a cycle.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import gc
 import itertools
 import json
 import math
@@ -183,7 +192,11 @@ def _render(value, parts: list[str]) -> None:
 
 
 def _load_json(path: str):
-    return json.loads(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
 def _load_matrix(path: str) -> np.ndarray:
@@ -370,6 +383,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hcyclic",
@@ -438,18 +452,23 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    enabled = gc.isenabled()
+    gc.disable()  # see the module docstring
     try:
-        result = args.handler(args)
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_json(result))
-    return 0
+        args = _build_parser().parse_args(argv)
+        try:
+            result = args.handler(args)
+        except NumericalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(render_json(result))
+        return 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

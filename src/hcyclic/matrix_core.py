@@ -30,8 +30,10 @@ raises :class:`NumericalError`.
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+import numbers
+import operator
 
 import numpy as np
 
@@ -391,13 +393,19 @@ def _pairs_to_json(values) -> list[list[float]]:
 
 def _pairs_from_json(data, what: str) -> np.ndarray:
     """Inverse of :func:`_pairs_to_json`: a 1-D complex array from a list
-    of finite ``[re, im]`` pairs (lists or tuples of two numbers), or
-    ValueError for anything else (including numbers too large for a
-    float)."""
+    of finite ``[re, im]`` pairs, or ValueError for anything else
+    (including numbers too large for a float).  Each entry has length 2
+    and holds two real numbers; a bool or a string is not one, so a JSON
+    string or object in place of a pair fails too (it yields strings)."""
     try:
-        if not set(map(type, data)) <= {list, tuple} or set(map(len, data)) - {2}:
+        if set(map(len, data)) - {2}:
             raise ValueError("entries are not [re, im] pairs")
-        arr = np.fromiter(itertools.chain.from_iterable(data), np.float64, count=2 * len(data))
+        # One flat list serves the type test and the conversion.
+        flat = functools.reduce(operator.iconcat, data, [])
+        for kind in set(map(type, flat)) - {float, int}:
+            if issubclass(kind, bool) or not issubclass(kind, numbers.Real):
+                raise ValueError(f"{kind.__name__} is not a number")
+        arr = np.fromiter(flat, np.float64, count=len(flat))
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{what} must be a list of [re, im] number pairs: {exc}") from exc
     if not np.all(np.isfinite(arr)):

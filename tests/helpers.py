@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from collections import deque
 from functools import lru_cache
 
@@ -385,13 +386,17 @@ _DECODE_ROWS = 8192
 
 
 def loop_pairs_from_json(data, what: str) -> np.ndarray:
-    """A 1-D complex array from a list of finite ``[re, im]`` pairs, or
-    ValueError for anything else (including numbers too large for a
-    float)."""
+    """A 1-D complex array from a list of finite ``[re, im]`` pairs of real
+    numbers, or ValueError for anything else (including bools, strings and
+    numbers too large for a float)."""
     try:
         n = len(data)
         arr = np.empty((n, 2))
         for start in range(0, n, _DECODE_ROWS):
+            for entry in data[start:start + _DECODE_ROWS]:
+                for value in entry:
+                    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                        raise ValueError(f"{value!r} is not a number")
             rows = np.asarray(data[start:start + _DECODE_ROWS], dtype=np.float64)
             if rows.shape != (min(_DECODE_ROWS, n - start), 2):
                 raise ValueError("entries are not [re, im] pairs")

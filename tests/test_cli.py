@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import subprocess
@@ -17,6 +18,7 @@ from hcyclic import (
     matrix_to_json,
     partition_to_json,
 )
+from hcyclic import cli
 from hcyclic.cli import COMMAND_OPERATIONS, _HANDLERS, main, render_json
 
 import helpers
@@ -425,6 +427,104 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, argv)
         assert code == 2 and out == ""
         assert "error:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--partition"])
+    def test_deep_nesting_is_validation_error(self, capsys, files, tmp_path, flag):
+        # Nested beyond the recursion limit, the parser raises RecursionError.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100000 + "]" * 100000)
+        argv = (["weyr", "--matrix", str(deep)] if flag == "--matrix"
+                else ["spectrum", "--matrix", files["six"], "--partition", str(deep)])
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert "nested too deeply" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "data", ['[["1", "2"]]', "[[true, 0]]", "[[0, false]]", '[[1, "nan"]]'],
+        ids=["strings", "true", "false", "string-nan"],
+    )
+    def test_strings_and_booleans_are_not_numbers(self, capsys, tmp_path, data):
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"rows": 1, "cols": 1, "data": %s}' % data)
+        code, out, err = run_cli(capsys, ["weyr", "--matrix", str(bad)])
+        assert code == 2 and out == ""
+        assert "is not a number" in err and "Traceback" not in err
+
+    def test_json_integers_are_numbers(self, capsys, tmp_path):
+        ints = tmp_path / "ints.json"
+        ints.write_text('{"rows": 2, "cols": 2, "data": [[0, 0], [1, 0], [0, 0], [0, 0]]}')
+        assert run_cli(capsys, ["weyr", "--matrix", str(ints)]) == (0, '{"weyr": [1, 1]}\n', "")
+
+
+# One call per subcommand (every circulant flag), on the small inputs.
+EVERY_COMMAND = [
+    ("detect", "--matrix", "six"),
+    ("partition", "--matrix", "six", "--h", "3"),
+    ("blocks", "--matrix", "twelve", "--partition", "twelve_part"),
+    ("power", "--matrix", "twelve", "--partition", "twelve_part"),
+    ("spectrum", "--matrix", "six", "--partition", "six_part"),
+    ("check", "--matrix", "twelve", "--partition", "twelve_part"),
+    ("circulant", "--recognize", "six"),
+    ("circulant", "--from-reference", "ref"),
+    ("circulant", "--basic", "4"),
+    ("circulant", "--ck", "5", "2"),
+    ("circulant", "--w", "2", "1", "1", "2"),
+    ("rotate-chain", "--chain", "six_chain", "--partition", "six_part", "--k", "1",
+     "--matrix", "six"),
+    ("zero-chains", "--matrix", "twelve", "--partition", "twelve_part"),
+    ("weyr", "--matrix", "twelve"),
+    ("reconstruct", "--orbits", "orbits", "--partition", "bip_part"),
+]
+
+
+class TestGarbageCollector:
+    """Each call runs with the cyclic collector paused and hands the
+    caller's collector state back; a call makes no cyclic garbage, so the
+    pause holds no memory back."""
+
+    @staticmethod
+    def _exit_path(files, monkeypatch, path):
+        """argv for one way out of ``main``, and what that way is."""
+        if path == "uncaught":
+            def broken(_path):
+                raise RuntimeError("broken")
+
+            monkeypatch.setattr(cli, "_load_matrix", broken)
+        near = files["write"]("near.json", matrix_to_json(np.array([[0.27, 1.0], [1.0, 0.27]])))
+        pair = files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]})
+        return {
+            "success": (["weyr", "--matrix", files["six"]], 0),
+            "numerical": (["power", "--matrix", near, "--partition", pair, "--tol", "0.3"], 1),
+            "invalid": (["weyr", "--matrix", files["write"]("bad.json", [])], 2),
+            "argparse": (["weyr"], SystemExit),
+            "uncaught": (["weyr", "--matrix", files["six"]], RuntimeError),
+        }[path]
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("path", ["success", "numerical", "invalid", "argparse", "uncaught"])
+    def test_caller_state_restored(self, capsys, files, monkeypatch, enabled, path):
+        argv, outcome = self._exit_path(files, monkeypatch, path)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            if isinstance(outcome, int):
+                assert main(argv) == outcome
+            else:
+                with pytest.raises(outcome):
+                    main(argv)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("argv_key", EVERY_COMMAND, ids=" ".join)
+    def test_warm_call_leaves_no_cyclic_garbage(self, capsys, files, argv_key):
+        argv = [files[token] if token in files else token for token in argv_key]
+        assert main(argv) == 0  # warm: imports done, parser built
+        gc.collect()
+        assert main(argv) == 0
+        assert gc.collect() == 0
+        capsys.readouterr()
 
 
 class TestDeterminism:

@@ -562,6 +562,10 @@ class TestMatrixJson:
             # Entries must be [re, im] lists: a two-character string is not.
             {"rows": 1, "cols": 1, "data": ["12"]},
             {"rows": 1, "cols": 2, "data": [1, 2]},
+            # ... of numbers: JSON strings and booleans are not numbers.
+            {"rows": 1, "cols": 1, "data": [["1", "2"]]},
+            {"rows": 1, "cols": 1, "data": [[True, 0]]},
+            {"rows": 1, "cols": 2, "data": [[0, 0], [0.5, False]]},
         ],
     )
     def test_malformed_rejected(self, doc):
@@ -572,7 +576,8 @@ class TestMatrixJson:
     @given(data=st.one_of(st.lists(float_pairs, max_size=8), st.lists(pair_entries, max_size=6)))
     def test_pair_decoder_matches_sliced_loop(self, data):
         # The one-pass decoder against the sliced np.asarray loop it
-        # replaced: the same bits, or ValueError from both.
+        # replaced, with an entry-by-entry type test in front (bools and
+        # strings are not numbers): the same bits, or ValueError from both.
         try:
             want = helpers.loop_pairs_from_json(data, "data")
         except ValueError:
