@@ -321,6 +321,8 @@ def _cmd_rotate_chain(args) -> dict:
 def _cmd_zero_chains(args) -> dict:
     a = _load_matrix(args.matrix)
     part = partition_from_json(_load_json(args.partition))
+    if args.class_index is not None and not 1 <= args.class_index <= part.h:
+        raise ValueError(f"class index {args.class_index} out of range 1..{part.h}")
     summary = zero_chains_all(a, part, args.tol)
     by_class = summary.by_class()
     classes = []

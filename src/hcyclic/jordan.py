@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import omega_pow
-from .cyclic_blocks import BlockCycle, _checked_cycle, partial_product
+from .cyclic_blocks import _checked_cycle, partial_product
 from .digraph import CyclicPartition, _block_mask, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
@@ -116,6 +116,12 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
         raise ValueError(
             f"chain vectors have length {chain.order} but matrix has order {am.shape[0]}"
         )
+    return _verify_chain(am, norm_inf(am), chain, tol)
+
+
+def _verify_chain(am: np.ndarray, na: float, chain: JordanChain, tol: float) -> bool:
+    # :func:`verify_chain` for a checked square ``am`` of the chain's order
+    # with ``na = norm_inf(am)``.
     lam = chain.eigenvalue
     p = chain.length
     # A left chain (y_1, ..., y_p) of A is the right chain (y_p, ..., y_1)
@@ -124,7 +130,6 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
         op, vecs = am, chain.vectors
     else:
         op, vecs = am.T, chain.vectors[::-1]
-    na = norm_inf(am)
     thr = _threshold(tol, na, max(norm_inf(v) for v in vecs))
     for j in range(p):
         coupled = vecs[j - 1] if j > 0 else 0.0
@@ -136,8 +141,9 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
     if matrix_rank(np.column_stack([v / (norm_inf(v) or 1.0) for v in chain.vectors]), tol) != p:
         return False
 
-    # Redundant power form, iterated with the shifted matrix.
-    shifted = op - lam * np.eye(am.shape[0])
+    # Redundant power form, iterated with the shifted matrix (A itself at
+    # lam = 0, which is what subtracting 0 gives bit for bit).
+    shifted = op if lam == 0 else op - lam * np.eye(am.shape[0])
     z = vecs[p - 1]
     for k in range(p, 0, -1):
         step_thr = _threshold(tol, na + abs(lam), norm_inf(vecs[p - 1]), power=p - k)
@@ -228,19 +234,23 @@ def zero_chain_from_null_vector(
     xv = as_complex_vector(x)
     if norm_inf(xv) == 0.0:
         raise ValueError("seed vector must be nonzero")
-    return _zero_chain(am, part, bc, i, partial_product(bc, i, part.h), xv, tol)
+    products = [partial_product(bc, i, q) for q in range(1, part.h + 1)]
+    return _zero_chain(am, norm_inf(am), part, i, products, xv, tol)
 
 
-def _zero_chain(am: np.ndarray, part: CyclicPartition, bc: BlockCycle, i: int, b_i: np.ndarray,
-                xv: np.ndarray, tol: float, not_kernel=ValueError) -> ZeroChainReport:
-    # ``am`` is h-cyclic for ``part`` with cycle blocks ``bc`` and B_i = b_i.
+def _zero_chain(am: np.ndarray, na: float, part: CyclicPartition, i: int,
+                products: list[np.ndarray], xv: np.ndarray, tol: float,
+                not_kernel=ValueError) -> ZeroChainReport:
+    # ``am`` is h-cyclic for ``part``, ``na = norm_inf(am)``, and
+    # ``products`` are the partial products P_{i,1..h} of its cycle blocks.
     # A seed outside the kernel is bad input, or, for a basis vector that
     # null_space returned, a NumericalError (``not_kernel``).
+    b_i = products[-1]
     if norm_inf(b_i @ xv) > _threshold(tol, norm_inf(b_i), norm_inf(xv)):
         raise not_kernel(f"seed vector is not in the kernel of cycle product B_{i}")
 
     v = embed_null_vector(xv, i, part)
-    na, nx = norm_inf(am), norm_inf(xv)
+    nx = norm_inf(xv)
     powers = [v]
     p = 0
     for q in range(1, part.h + 1):
@@ -257,7 +267,7 @@ def _zero_chain(am: np.ndarray, part: CyclicPartition, bc: BlockCycle, i: int, b
 
     # Block-level minimality must agree with the full-matrix iteration.
     for q in range(1, p + 1):
-        piece = partial_product(bc, i, q) @ xv
+        piece = products[q - 1] @ xv
         small = norm_inf(piece) <= _threshold(tol, na, nx, power=q)
         if small != (q == p):
             raise NumericalError(
@@ -265,7 +275,7 @@ def _zero_chain(am: np.ndarray, part: CyclicPartition, bc: BlockCycle, i: int, b
             )
 
     chain = JordanChain(eigenvalue=0j, orientation="right", vectors=tuple(reversed(powers)))
-    if not verify_chain(am, chain, tol):
+    if not _verify_chain(am, na, chain, tol):
         raise NumericalError(f"constructed zero chain fails verification (class {i})")
     return ZeroChainReport(class_index=i, seed=xv, length=p, chain=chain)
 
@@ -327,11 +337,15 @@ def zero_chains_all(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> ZeroC
     """Zero chains for each class whose cycle product is singular, one per
     kernel basis vector, in class order."""
     am, bc = _checked_cycle(a, part, tol)
+    na = norm_inf(am)
     reports: list[ZeroChainReport] = []
     for i in range(1, part.h + 1):
         b_i = partial_product(bc, i, part.h)
-        for vec in null_space(b_i, tol)[1]:
-            reports.append(_zero_chain(am, part, bc, i, b_i, vec, tol, NumericalError))
+        kernel = null_space(b_i, tol)[1]
+        if kernel:  # the shorter partial products, formed once for all seeds
+            products = [partial_product(bc, i, q) for q in range(1, part.h)] + [b_i]
+        for vec in kernel:
+            reports.append(_zero_chain(am, na, part, i, products, vec, tol, NumericalError))
     return ZeroChainSummary(
         reports=tuple(reports),
         weyr=weyr_zero(am, tol),

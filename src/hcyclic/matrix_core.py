@@ -16,12 +16,13 @@ sign that no caller reads.  The kernel basis is returned in reduced-echelon
 basis vectors have the exact rational entries one would compute by hand,
 not an orthonormalized recombination of them.  The rank runs the forward
 half of the same elimination, with the same pivot decisions, and updates
-only the trailing block.
+only the trailing block and the pivot column.
 
 The Weyr weights at zero of a nilpotent integer A rank a few powers of
 A, not every one: the nullity of A^k is concave in k, so a run of equal
 weights is found by galloping and bisection (:func:`_weyr_weights`),
-one exact product per probe, in float64 when A is real.
+one exact product per probe.  The powers of a real integer A are formed
+in float64 for as long as every product is exact.
 Any other A has every power ranked, since the powers of a small nonzero
 eigenvalue sink below the pivot threshold and break concavity past the
 power where the ranks stop.  A rank sequence that contradicts concavity
@@ -208,7 +209,10 @@ def _rank(a: np.ndarray, thr: float) -> int:
     those rows get the updates of :func:`_rref` element for element: the
     rows with a nonzero multiplier, minus the multiplier times the pivot
     row divided by the pivot.  So every pivot is the same decision, and
-    only the trailing block is updated.
+    only the trailing block and the pivot column are updated.  The pivot
+    column is not read again; it is there so that no update is a single
+    element, which numpy multiplies without the fused multiply-add of its
+    vector loops, and so rounds unlike :func:`_rref` (seen at tol 0).
     """
     r = np.array(a, dtype=complex)
     m, n = r.shape
@@ -216,7 +220,7 @@ def _rank(a: np.ndarray, thr: float) -> int:
     for col in range(n):
         if row == m:
             break
-        p = row + int(np.argmax(np.abs(r[row:, col])))
+        p = row + int(np.abs(r[row:, col]).argmax())
         pivot = r[p, col]
         if abs(pivot) <= thr:
             continue
@@ -224,10 +228,10 @@ def _rank(a: np.ndarray, thr: float) -> int:
             swap = r[p, col:].copy()
             r[p, col:] = r[row, col:]
             r[row, col:] = swap
-        below = row + 1 + np.flatnonzero(r[row + 1:, col])
+        below = row + 1 + r[row + 1:, col].nonzero()[0]
         row += 1
         if len(below):
-            r[below, col + 1:] -= np.multiply.outer(r[below, col], r[row - 1, col + 1:] / pivot)
+            r[below, col:] -= np.multiply.outer(r[below, col], r[row - 1, col:] / pivot)
     return row
 
 
@@ -274,18 +278,19 @@ def _exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     over real and imaginary parts: exact while that is <= 2^53."""
     bound = 4.0 * x.shape[1]
     for m in (x, y):
-        bound *= float(max(np.max(np.abs(m.real)), np.max(np.abs(m.imag))))
+        big = np.abs(m.real).max()
+        bound *= float(max(big, np.abs(m.imag).max()) if m.dtype == complex else big)
     return None if bound > 2.0**53 else x @ y
 
 
 def _nilpotent(am: np.ndarray) -> bool:
     """Whether ``am`` is certainly nilpotent: its entries are Gaussian
     integers and A^(2^s), 2^s >= n, formed by exact squaring
-    (:func:`_exact_product`, in float64 when A is real), is zero.  False
-    when the entries are not integers or a square could round."""
+    (:func:`_exact_product`), is zero.  False when the entries are not
+    integers or a square could round."""
     if not np.array_equal(am, np.round(am)):
         return False
-    p = am if am.imag.any() else am.real.copy()
+    p = am
     for _ in range((am.shape[0] - 1).bit_length()):
         p = _exact_product(p, p)
         if p is None:
@@ -294,7 +299,7 @@ def _nilpotent(am: np.ndarray) -> bool:
 
 
 def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
-    """Nullity steps of the powers of the square matrix ``am``:
+    """Nullity steps of the powers of the square complex matrix ``am``:
     w_k = nullity(A^k) - nullity(A^(k-1)) while positive.  Their sum is
     the algebraic multiplicity of the eigenvalue zero.
 
@@ -307,10 +312,14 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     accepted probe and shrinks to keep A^(k+2^i) before the first power
     known to be past the run, so after a probe falls short the search
     bisects.  Only the current square is kept, formed again from A when i
-    shrinks.  No power is ranked twice.  These products are exact
-    (:func:`_exact_product`), so they give the bits of any other product
-    order, and are formed in float64 when A is real; a probe that could
-    round falls short instead.
+    shrinks.  No power is ranked twice.  A probe is formed only when it is
+    exact (:func:`_exact_product`), so it has the bits of any other
+    product order; a probe that could round falls short instead.
+
+    While A is real with integer entries, the chain, plain steps and
+    probes alike, runs in float64 as long as each product is exact, and
+    in complex from the first product that could round.  Exact products
+    hold the same integers in either type, so no decision depends on it.
 
     Only nilpotent A gallops.  A nonzero eigenvalue whose powers sink
     below the pivot threshold adds nullity at powers past the one where
@@ -324,8 +333,10 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")
     n = am.shape[0]
+    real = not am.imag.any() and np.array_equal(am.real, np.round(am.real))
+    base = am.real.copy() if real else am  # the factor of exact float64 products
     weights: list[int] = []
-    k, power, nullity = 0, np.eye(n, dtype=complex), 0  # the checkpoint A^k
+    k, power, nullity = 0, np.eye(n, dtype=base.dtype), 0  # the checkpoint A^k
     nilpotent = None  # decided at the first repeated weight
     known: dict[int, int] = {}
 
@@ -337,7 +348,10 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
         return known[j]
 
     while nullity < n:
-        step = _finite(power @ am, f"A^{k + 1}")
+        step = _exact_product(power, base) if power.dtype == np.float64 else None
+        if step is None:
+            power = power.astype(complex, copy=False)
+            step = _finite(power @ am, f"A^{k + 1}")
         new = nullity_of(k + 1, step)
         w = new - nullity
         if w <= 0:
@@ -351,14 +365,12 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
         if len(weights) < 2 or weights[-2] != w:
             continue
         if nilpotent is None:
-            nilpotent = _nilpotent(am)
-            base = am if am.imag.any() else am.real.copy()
+            nilpotent = _nilpotent(base)
         if not nilpotent:
             continue
         # Gallop over the run of w: A^k is on it, A^past is known to be past
         # it.  ``square`` is A^(2^s), or None where squaring could round.
         past = k + (n - nullity) // w + 1
-        power = power if base is am else power.real.copy()
         i, s, square = 1, 0, base
         while past - k > 1:
             i = min(i, (past - k - 1).bit_length() - 1)
@@ -380,7 +392,6 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
                 i += 1
             else:
                 past = j
-        power = power.astype(complex, copy=False)
     return tuple(weights)
 
 

@@ -314,6 +314,17 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "not in the kernel of cycle product B_1" in err
 
+    @pytest.mark.parametrize("index", ["0", "-1", "7"])
+    def test_zero_chains_class_out_of_range(self, capsys, files, monkeypatch, index):
+        # The twelve-vertex partition has h = 3: the index is rejected
+        # before any chain is computed.
+        monkeypatch.setattr(hcyclic.cli, "zero_chains_all", None)
+        argv = ["zero-chains", "--matrix", files["twelve"], "--partition", files["twelve_part"],
+                "--class", index]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert f"class index {index} out of range 1..3" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "command", ["blocks", "power", "spectrum", "check", "zero-chains", "weyr"]

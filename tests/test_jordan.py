@@ -280,19 +280,31 @@ class TestZeroChains:
         assert summary.zero_block_sizes == (3, 2, 2, 1, 1)
 
     def test_validates_once(self, twelve, monkeypatch):
+        # One h-cyclicity check, and each class's partial products formed
+        # once: h for a singular class, only B_i for another.
         a, part = twelve
         calls = []
+        products = []
         original = hcyclic.cyclic_blocks.is_h_cyclic
+        original_product = hcyclic.jordan.partial_product
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
+        def counting_product(bc, i, p):
+            products.append(i)
+            return original_product(bc, i, p)
+
         for module in (hcyclic.cyclic_blocks, hcyclic.jordan):
             monkeypatch.setattr(module, "is_h_cyclic", counting)
+        monkeypatch.setattr(hcyclic.jordan, "partial_product", counting_product)
         summary = zero_chains_all(a, part)
         assert len(summary.reports) == 9
         assert len(calls) == 1
+        singular = summary.by_class()
+        for i in range(1, part.h + 1):
+            assert products.count(i) == (part.h if i in singular else 1)
 
     def test_scale_separated_exact_chain(self):
         # The chain (1e200 e_1, e_3) is exact; its vectors differ in scale

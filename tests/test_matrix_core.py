@@ -263,6 +263,14 @@ class TestRref:
         thr = 0.0 if zero_tol else thr
         assert _rank(a, thr) == len(_rref(a, thr)[1])
 
+    def test_rank_rounds_the_last_update_as_rref(self):
+        # The last pivot column of this rank-5 product leaves one row below
+        # and one column to its right; as a lone element that update rounds
+        # without fused multiply-add, and at tol 0 its round-off read as a
+        # sixth pivot.
+        a, _ = rref_input(np.random.default_rng(90383), "product", 6, 6)
+        assert _rank(a, 0.0) == len(_rref(a, 0.0)[1]) == 5
+
     def test_rank_after_overflow_leaves_zero_multiplier_rows(self):
         # The pivot row divided by 1e-300 overflows; the zero second row
         # must stay zero (0 * inf would make it nan, counted as a pivot).
@@ -446,6 +454,49 @@ class TestWeyrWeights:
         got, ranked = exact_power_exponents(a, 1, 0.0)
         assert got == helpers.loop_weyr_weights(a.astype(complex), 0.0) == (3,) + (2,) * 7 + (1,) * 8
         assert ranked[:7] == [1, 2, 3, 5, 7, 8, 9]
+
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_chain_turns_complex_at_the_first_product_that_could_round(self, seed, tol):
+        # Nilpotent blocks beside the eigenvalues 300 and -200, conjugated by
+        # a unimodular U: the entries of A^k pass the exact-product bound
+        # partway through the chain.  Every power before the first product
+        # that could round is ranked in float64, every one after in complex,
+        # each with the bits of the complex chain the loop forms; and the
+        # weights are the loop's, or the loop's first increase raises.
+        a, weights = helpers.planted_jordan(np.random.default_rng(seed), [6, 3, 1], [300, -200])
+        n = a.shape[0]
+        ints = np.rint(a.real).astype(np.int64).astype(object)  # exact, unbounded
+        exact, crossing = np.eye(n, dtype=np.int64).astype(object), None
+        loop_powers = [np.eye(n, dtype=complex)]
+        for k in range(1, n + 1):
+            if crossing is None and 4 * n * np.abs(exact).max() * np.abs(ints).max() > 2**53:
+                crossing = k
+            exact = exact.dot(ints)
+            loop_powers.append(loop_powers[-1] @ a)
+        assert crossing is not None
+        ranked = []
+
+        def recording_rank(power, tol):
+            ranked.append(power)
+            return matrix_rank(power, tol)
+
+        loop = helpers.loop_weyr_weights(a, tol)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix_core, "matrix_rank", recording_rank)
+            if is_nonincreasing(loop):
+                assert _weyr_weights(a, tol) == loop
+            else:
+                k = next(k for k in range(2, len(loop) + 1) if loop[k - 1] > loop[k - 2])
+                first = f"increase at A\\^{k} \\({loop[k - 2]} then {loop[k - 1]}\\)"
+                with pytest.raises(NumericalError, match=first):
+                    _weyr_weights(a, tol)
+        # A is not nilpotent, so the j-th ranked matrix is A^j.
+        for j, power in enumerate(ranked, 1):
+            assert power.dtype == (np.float64 if j < crossing else complex)
+            assert np.array_equal(power, loop_powers[j])
+        if (seed, tol) == (0, 0.0):
+            assert loop == weights and crossing == 6 and len(ranked) == 7
 
     @settings(max_examples=60)
     @given(seed=st.integers(0, 2**32 - 1), blocks=planted_blocks, diagonal=planted_diagonal)
