@@ -18,15 +18,11 @@ not an orthonormalized recombination of them.  The rank runs the forward
 half of the same elimination, with the same pivot decisions, and updates
 only the trailing block and the pivot column.
 
-The Weyr weights at zero of a nilpotent integer A rank a few powers of
-A, not every one: the nullity of A^k is concave in k, so a run of equal
-weights is found by galloping and bisection (:func:`_weyr_weights`),
-one exact product per probe.  The powers of a real integer A are formed
-in float64 for as long as every product is exact.
-Any other A has every power ranked, since the powers of a small nonzero
-eigenvalue sink below the pivot threshold and break concavity past the
-power where the ranks stop.  A rank sequence that contradicts concavity
-raises :class:`NumericalError`.
+The Weyr weights at zero of a Gaussian-integer A are exact: one
+elimination of [A | I] and a chain of kernels over two prime fields
+(:func:`_exact_weyr_weights`), with no power formed or ranked.  Any other
+A, or one the two fields disagree on, has every power ranked in turn, and
+a rank sequence whose weights increase raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -63,11 +59,7 @@ class NumericalError(RuntimeError):
 
 def as_complex_matrix(a) -> np.ndarray:
     """Coerce ``a`` to a 2-D complex array, rejecting NaN/Inf entries."""
-    return _checked_matrix(np.asarray(a, dtype=complex))
-
-
-def _checked_matrix(arr: np.ndarray) -> np.ndarray:
-    """``arr`` itself if it is a nonempty 2-D matrix with finite entries, else ValueError."""
+    arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={arr.ndim}")
     if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -237,10 +229,8 @@ def _rank(a: np.ndarray, thr: float) -> int:
 
 def matrix_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank from row reduction with pivot threshold
-    ``tol * max(1, norm_inf(a))``.  A float64 array is checked as it is:
-    :func:`_rank` makes its only complex copy."""
-    real = isinstance(a, np.ndarray) and a.dtype == np.float64
-    am = _checked_matrix(a) if real else as_complex_matrix(a)
+    ``tol * max(1, norm_inf(a))``."""
+    am = as_complex_matrix(a)
     return _rank(am, _threshold(tol, norm_inf(am)))
 
 
@@ -271,31 +261,182 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
     return len(pivots), basis
 
 
-def _exact_product(x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """``x @ y`` for matrices of Gaussian integers, or None when a sum could
-    round.  Every partial sum, even with three real products per complex
-    one, is an integer of modulus <= 4 n max|x| max|y|, the maxima taken
-    over real and imaginary parts: exact while that is <= 2^53."""
-    bound = 4.0 * x.shape[1]
-    for m in (x, y):
-        big = np.abs(m.real).max()
-        bound *= float(max(big, np.abs(m.imag).max()) if m.dtype == complex else big)
-    return None if bound > 2.0**53 else x @ y
+# Two primes p = 1 (mod 4), each with a square root of -1 modulo p, so that
+# a Gaussian integer a + bi has the residue a + b*root.  With entries below
+# p, a matrix product over n <= _EXACT_ORDER terms sums to less than
+# n*p^2 < 2^53, so float64 holds every residue computation exactly.
+_PRIMES = np.array([4244333.0, 4244329.0])[:, None, None]
+_ROOTS = np.array([3848082.0, 1572050.0])[:, None, None]
+_EXACT_ORDER = 500
+_INVERSE = np.nextafter(1.0 / _PRIMES, np.inf)  # 1/p rounded up
+_PANEL = 32  # columns per panel of the elimination of [A | I]
 
 
-def _nilpotent(am: np.ndarray) -> bool:
-    """Whether ``am`` is certainly nilpotent: its entries are Gaussian
-    integers and A^(2^s), 2^s >= n, formed by exact squaring
-    (:func:`_exact_product`), is zero.  False when the entries are not
-    integers or a square could round."""
-    if not np.array_equal(am, np.round(am)):
-        return False
-    p = am
-    for _ in range((am.shape[0] - 1).bit_length()):
-        p = _exact_product(p, p)
-        if p is None:
-            return False
-    return not p.any()
+def _reduce(x: np.ndarray) -> np.ndarray:
+    """``x mod p`` along the field axis, in place, for integers 0 <= x <
+    4p^2: ``floor(x * (1/p rounded up))`` is ``floor(x/p)``, since its
+    error is far below 1/p, the least distance from x/p to the next
+    integer.  It costs a fraction of ``np.mod`` on large arrays.  For |x|
+    <= 500 p^2 the quotient may be one off, leaving [-p, 2p):
+    ``_reduce(_reduce(x) + p)``."""
+    quotient = x * _INVERSE
+    np.floor(quotient, out=quotient)
+    quotient *= _PRIMES
+    x -= quotient
+    return x
+
+
+def _residues(am: np.ndarray) -> np.ndarray | None:
+    """The square Gaussian-integer matrix ``am`` modulo each prime, stacked
+    along a leading field axis, or None when ``am`` is not one, is of order
+    above 500, or has a real or imaginary part of modulus p or more once
+    divided by the gcd of all its parts (which leaves the Weyr weights as
+    they are)."""
+    re, im = am.real, am.imag
+    integer = np.array_equal(re, np.round(re)) and np.array_equal(im, np.round(im))
+    if am.shape[0] > _EXACT_ORDER or not integer:
+        return None
+    bound, big = _PRIMES.min(), max(np.abs(re).max(), np.abs(im).max())
+    if big >= bound:
+        if big >= 2.0**62:
+            return None
+        content = float(np.gcd.reduce(np.concatenate([re.ravel(), im.ravel()]).astype(np.int64)))
+        if big / content >= bound:
+            return None
+        re, im = re / content, im / content
+    x = im + _PRIMES  # in place from here, to 0 < x < 2p^2
+    x *= _ROOTS
+    x += re
+    x += _PRIMES
+    return _reduce(x)
+
+
+def _eliminate(m: np.ndarray, ncols: int, panels: bool = False) -> list[int] | None:
+    """Gauss-Jordan elimination of each ``m[f]`` modulo its prime, in place,
+    with pivots in the first ``ncols`` columns: the k-th pivot row is
+    scaled to 1, its column cleared in every other row, and it is moved to
+    row k.  Returns the pivot columns, or None when the fields disagree: a
+    column holds a pivot in one field and not in another, or in no row
+    that both can pivot on.
+
+    A pivot updates only the nonzero columns of its row, and only the rows
+    with a nonzero in its column, which suits sparse matrices.  With
+    ``panels`` the pivot columns are taken ``_PANEL`` at a time, and a
+    panel whose rows still to pivot hold more than 2 _PANEL nonzeros each
+    on average (a dense matrix) defers its updates right of the panel.
+    Its pivots update a copy of the panel, beside an identity column for
+    each pivot row, which ends up holding the inverse G of the panel's
+    pivot block.  The pivot rows then become G times themselves, and each
+    other row loses its panel entries times them: two matrix products per
+    panel in place of one update per pivot.
+    """
+    fields, rows, _ = m.shape
+    pivots: list[int] = []
+    step = _PANEL if panels else ncols
+    for start in range(0, ncols, step):
+        stop = min(start + step, ncols)
+        first = len(pivots)
+        defer = panels and (np.count_nonzero(m[0, first:, start:])
+                            > 2 * _PANEL * (rows - first))
+        if defer:  # the panel, then a column per pivot row that starts as its identity column
+            work = np.concatenate([m[:, :, start:stop], np.zeros((fields, rows, step))], axis=2)
+            offset = start
+        else:
+            work, offset = m, 0
+        # A column that is zero in every row still to pivot stays so.
+        live = work[:, first:, start - offset:stop - offset].any(axis=(0, 1))
+        for col in start - offset + np.flatnonzero(live):
+            row = len(pivots)
+            if row == rows:
+                break
+            nonzero = work[:, row:, col] != 0
+            common = nonzero.all(axis=0)
+            i = int(common.argmax())
+            if not common[i]:
+                if nonzero.any():
+                    return None
+                continue
+            if i:
+                swap, back = [row, row + i], [row + i, row]
+                m[:, swap] = m[:, back]
+                if defer:
+                    work[:, swap] = work[:, back]
+            if defer:
+                work[:, row, stop - start + row - first] = 1.0
+                cols = slice(col, None)
+            else:  # the pivot row is zero left of its pivot
+                cols = col + np.flatnonzero(work[:, row, col:].any(axis=0))
+            inverse = [[[pow(int(x), -1, int(p))]] for x, p in zip(work[:, row, col], _PRIMES.flat)]
+            top = np.mod(work[:, row:row + 1, cols] * inverse, _PRIMES)
+            work[:, row:row + 1, cols] = top
+            others = np.flatnonzero(work[:, :, col].any(axis=0))
+            others = others[others != row] if defer else others[others != row, None]
+            minus = _PRIMES - work[:, others, col].reshape(fields, -1, 1)  # -multiplier mod p
+            work[:, others, cols] = _reduce(work[:, others, cols] + minus * top)
+            pivots.append(offset + int(col))
+        if defer and len(pivots) > first:
+            here = slice(first, len(pivots))
+            inverse_block = work[:, here, stop - start:stop - start + len(pivots) - first]
+            right = stop + np.flatnonzero(m[:, here, stop:].any(axis=(0, 1)))
+            pivot_rows = _reduce(_reduce(inverse_block @ m[:, here, right]) + _PRIMES)
+            factor = m[:, :, pivots[here]]  # the panel before its pivots
+            factor[:, here] = 0
+            others = np.flatnonzero(factor.any(axis=(0, 2)))[:, None]
+            update = m[:, others, right] - factor[:, others[:, 0]] @ pivot_rows
+            m[:, others, right] = _reduce(_reduce(update) + _PRIMES)
+            m[:, here, right] = pivot_rows
+            m[:, :, start:stop] = work[:, :, :stop - start]
+    return pivots
+
+
+def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
+    """Weyr weights at zero of a Gaussian-integer ``am`` over both prime
+    fields at once, or None when :func:`_residues` declines ``am`` or the
+    fields disagree (:func:`_eliminate`).
+
+    With K_k = ker A^k and R = range A, ker A^(k+1) is the preimage of
+    K_k, so w_(k+1) = dim(K_k & R) - dim(K_(k-1) & R).  One elimination of
+    [A | I] gives [E | T] with T A = E reduced: the kernel basis of A, the
+    rows N = T[r:] with y in R iff N y = 0, and the solution x[pivots] =
+    T[:r] y of A x = y.  The chain carries the frontier, w_k vectors that
+    extend K_(k-1) to K_k, and an echelon basis of N K_(k-1) with the
+    vectors of K_(k-1) it comes from.  Reducing N times the frontier
+    against that basis leaves w_(k+1) combinations in R; their solutions
+    are the next frontier.
+    """
+    a = _residues(am)
+    if a is None:
+        return None
+    fields, n, _ = a.shape
+    m = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=2)
+    del a
+    pivots = _eliminate(m, n, panels=True)
+    if pivots is None:
+        return None
+    r, d = len(pivots), n - len(pivots)
+    free = np.setdiff1d(np.arange(n), pivots)
+    solve = np.zeros((fields, n, n))  # row y to row x
+    solve[:, :, pivots] = m[:, :r, n:].transpose(0, 2, 1)
+    left = m[:, r:, n:].transpose(0, 2, 1).copy()  # row y to row N y
+    front = np.zeros((fields, d, n))  # the kernel basis, one row per free column
+    front[:, np.arange(d), free] = 1.0
+    front[:, :, pivots] = np.mod(-m[:, :r, free].transpose(0, 2, 1), _PRIMES)
+    del m
+    basis, held = np.zeros((fields, 0, d + n)), []  # rows [N u, u], reduced at ``held``
+    weights = []
+    while front.shape[1]:
+        weights.append(front.shape[1])
+        work = np.concatenate([np.mod(front @ left, _PRIMES), front], axis=2)  # rows [N x, x]
+        work = np.mod(work - work[:, :, held] @ basis, _PRIMES)
+        new = _eliminate(work, d)
+        if new is None:
+            return None
+        c = len(new)
+        if c:
+            basis = np.mod(basis - basis[:, :, new] @ work[:, :c], _PRIMES)
+            basis, held = np.concatenate([basis, work[:, :c]], axis=1), held + new
+        front = np.mod(work[:, c:, d:] @ solve, _PRIMES)
+    return tuple(weights)
 
 
 def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -303,95 +444,34 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     w_k = nullity(A^k) - nullity(A^(k-1)) while positive.  Their sum is
     the algebraic multiplicity of the eigenvalue zero.
 
-    Powers are formed as ``prev @ am`` along one chain from I and ranked
-    one at a time, as a step-by-step loop does, until a weight w repeats.
-    From there, if A is certainly nilpotent (:func:`_nilpotent`), the
-    search gallops: since the weights never increase, nullity(A^(k+d)) =
-    nullity(A^k) + d*w proves every weight in (k, k+d] to be w.  A probe
-    at d = 2^i is the one product A^k A^(2^i).  i grows by one after each
-    accepted probe and shrinks to keep A^(k+2^i) before the first power
-    known to be past the run, so after a probe falls short the search
-    bisects.  Only the current square is kept, formed again from A when i
-    shrinks.  No power is ranked twice.  A probe is formed only when it is
-    exact (:func:`_exact_product`), so it has the bits of any other
-    product order; a probe that could round falls short instead.
-
-    While A is real with integer entries, the chain, plain steps and
-    probes alike, runs in float64 as long as each product is exact, and
-    in complex from the first product that could round.  Exact products
-    hold the same integers in either type, so no decision depends on it.
-
-    Only nilpotent A gallops.  A nonzero eigenvalue whose powers sink
-    below the pivot threshold adds nullity at powers past the one where
-    the loop stops, and a probe there could take that for weight w.  With
-    no nonzero eigenvalue the nullity rises until it reaches n, so every
-    probe lies within the powers the loop ranks, and the weights equal the
-    loop's wherever its ranks are consistent.  A weight above its
-    predecessor, or a probe above the linear extrapolation, contradicts
-    concavity and raises NumericalError.
+    A Gaussian-integer A is done exactly (:func:`_exact_weyr_weights`):
+    rank over GF(p) is at most rank over Q(i), so one field can only
+    overstate a nullity, and the weights are taken only when both fields
+    make every decision alike.  Any other A, and one that the fields
+    disagree on, has its powers formed one at a time and ranked; a weight
+    above its predecessor contradicts the rank decisions and raises
+    NumericalError.
     """
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")
+    _threshold(tol)  # a bad tol raises also where no threshold is used
+    exact = _exact_weyr_weights(am)
+    if exact is not None:
+        return exact
     n = am.shape[0]
-    real = not am.imag.any() and np.array_equal(am.real, np.round(am.real))
-    base = am.real.copy() if real else am  # the factor of exact float64 products
     weights: list[int] = []
-    k, power, nullity = 0, np.eye(n, dtype=base.dtype), 0  # the checkpoint A^k
-    nilpotent = None  # decided at the first repeated weight
-    known: dict[int, int] = {}
-
-    def nullity_of(j: int, p: np.ndarray) -> int:
-        # Each power is ranked once: a probe that fell short may be stepped
-        # to, or probed again in a later run.
-        if j not in known:
-            known[j] = n - matrix_rank(p, tol)
-        return known[j]
-
+    power, nullity = np.eye(n, dtype=complex), 0
     while nullity < n:
-        step = _exact_product(power, base) if power.dtype == np.float64 else None
-        if step is None:
-            power = power.astype(complex, copy=False)
-            step = _finite(power @ am, f"A^{k + 1}")
-        new = nullity_of(k + 1, step)
-        w = new - nullity
+        power = _finite(power @ am, f"A^{len(weights) + 1}")
+        w = n - matrix_rank(power, tol) - nullity
         if w <= 0:
             break
         if weights and w > weights[-1]:
             raise NumericalError(
-                f"Weyr weights increase at A^{k + 1} ({weights[-1]} then {w}): "
+                f"Weyr weights increase at A^{len(weights) + 1} ({weights[-1]} then {w}): "
                 "the rank decisions contradict each other")
         weights.append(w)
-        k, power, nullity = k + 1, step, new
-        if len(weights) < 2 or weights[-2] != w:
-            continue
-        if nilpotent is None:
-            nilpotent = _nilpotent(base)
-        if not nilpotent:
-            continue
-        # Gallop over the run of w: A^k is on it, A^past is known to be past
-        # it.  ``square`` is A^(2^s), or None where squaring could round.
-        past = k + (n - nullity) // w + 1
-        i, s, square = 1, 0, base
-        while past - k > 1:
-            i = min(i, (past - k - 1).bit_length() - 1)
-            if s > i:
-                s, square = 0, base
-            while square is not None and s < i:
-                s, square = s + 1, _exact_product(square, square)
-            j = k + 2**i
-            probe = None if square is None else _exact_product(power, square)
-            new = -1 if probe is None else nullity_of(j, probe)  # -1: falls short
-            expect = nullity + (j - k) * w
-            if new > expect:
-                raise NumericalError(
-                    f"nullity of A^{j} is {new}, above {expect} from weight {w} at A^{k}: "
-                    "the rank decisions contradict each other")
-            if new == expect:
-                weights += [w] * (j - k)
-                k, power, nullity = j, probe, new
-                i += 1
-            else:
-                past = j
+        nullity += w
     return tuple(weights)
 
 

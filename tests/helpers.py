@@ -9,7 +9,9 @@ the row-by-row elimination, the one-rank-per-power Weyr loop, the
 float-by-float JSON renderer, the dict-and-deque BFS of the partition
 search, the sliced pair decoder and the hand-written threshold
 expressions are the references that the library's array, bulk and
-shared versions must match exactly.
+shared versions must match exactly.  The Weyr weights from exact ranks
+over the Gaussian rationals (``fractions.Fraction``) are the oracle of the
+exact Weyr path.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import json
 import math
 import numbers
 from collections import deque
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -271,6 +274,51 @@ def loop_weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
         prev_nullity = nullity
         if nullity == n:
             break
+    return tuple(weights)
+
+
+def _gaussian_rank(rows: list[list[tuple[Fraction, Fraction]]]) -> int:
+    """Rank over Q(i) of a matrix of (re, im) Fraction pairs, by exact
+    Gaussian elimination (the list is consumed)."""
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][col] != (0, 0)), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        a, b = rows[rank][col]
+        norm = a * a + b * b
+        inv = (a / norm, -b / norm)
+        for i in range(rank + 1, len(rows)):
+            c, d = rows[i][col]
+            if (c, d) == (0, 0):
+                continue
+            # factor = rows[i][col] / pivot
+            f = (c * inv[0] - d * inv[1], c * inv[1] + d * inv[0])
+            rows[i] = [(x - (f[0] * y - f[1] * z), w - (f[0] * z + f[1] * y))
+                       for (x, w), (y, z) in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def fraction_weyr_weights(am: np.ndarray) -> tuple[int, ...]:
+    """Weyr weights at zero of a Gaussian-integer matrix from the exact
+    ranks of its powers over Q(i), one rank per power."""
+    n = am.shape[0]
+    a = [[(int(z.real), int(z.imag)) for z in row] for row in np.asarray(am, dtype=complex)]
+    power = [[(int(i == j), 0) for j in range(n)] for i in range(n)]
+    weights: list[int] = []
+    nullity = 0
+    while nullity < n:
+        power = [[(sum(x * y - w * z for (x, w), (y, z) in zip(row, col)),
+                   sum(x * z + w * y for (x, w), (y, z) in zip(row, col)))
+                  for col in zip(*a)] for row in power]
+        rank = _gaussian_rank([[(Fraction(x), Fraction(y)) for x, y in row] for row in power])
+        w = n - rank - nullity
+        if w <= 0:
+            break
+        weights.append(w)
+        nullity += w
     return tuple(weights)
 
 

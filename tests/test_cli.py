@@ -339,6 +339,16 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "error:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0"]])
+    def test_weyr_of_long_block_beside_large_eigenvalue(self, capsys, files, tol):
+        # J_64 + 1000 I_64: the float ranks at the default tol read the
+        # increasing weights (1, 1, 62); the integer matrix is exact.
+        a = np.zeros((128, 128))
+        a[np.arange(63), np.arange(1, 64)] = 1
+        a[np.arange(64, 128), np.arange(64, 128)] = 1000
+        argv = ["weyr", "--matrix", files["write"]("j64.json", matrix_to_json(a))] + tol
+        assert run_cli(capsys, argv) == (0, '{"weyr": [%s]}\n' % ", ".join(["1"] * 64), "")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reconstruct_overflow_is_numerical_failure(self, capsys, files):
         # Biorthonormal chains whose outer products leave the float range.

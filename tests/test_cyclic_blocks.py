@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hcyclic import (
+    DEFAULT_TOL,
     CyclicPartition,
     NumericalError,
     assemble_blocks,
@@ -225,11 +226,13 @@ class TestMirskySpectrum:
         h=st.integers(2, 4),
         nonzero=st.integers(0, 3),
         nilpotent=st.lists(st.integers(1, 4), max_size=3),
+        tol=st.sampled_from([0.0, DEFAULT_TOL]),
     )
-    def test_zero_count_is_weyr_sum(self, seed, h, nonzero, nilpotent):
+    def test_zero_count_is_weyr_sum(self, seed, h, nonzero, nilpotent, tol):
         # B_1 = X J X^-1 with J = diag(D, N): D nonzero, N nilpotent Jordan
-        # blocks, X unimodular, so every power of A is formed exactly and
-        # the Weyr weights of A count its zero eigenvalues.
+        # blocks, X unimodular, so A and B_1 are Gaussian-integer matrices
+        # whose Weyr weights are exact at every tol: the Mirsky zero count,
+        # the Weyr weights of A and n - h m all count its zero eigenvalues.
         m = nonzero + sum(nilpotent)
         assume(m > 0)
         rng = np.random.default_rng(seed)
@@ -250,8 +253,8 @@ class TestMirskySpectrum:
         blocks[0] = x @ j @ blocks[0]
         blocks[-1] = blocks[-1] @ x_inv
         a = assemble_blocks(blocks)
-        pred = mirsky_spectrum(a, helpers.consecutive_partition(sizes))
-        assert pred.zero_count == sum(weyr_zero(a).weights)
+        pred = mirsky_spectrum(a, helpers.consecutive_partition(sizes), tol)
+        assert pred.zero_count == sum(weyr_zero(a, tol).weights) == sum(sizes) - h * nonzero
         assert len(pred.root_orbits) == nonzero
 
 
