@@ -20,9 +20,11 @@ only the trailing block and the pivot column.
 
 The Weyr weights at zero of a Gaussian-integer A are exact: one
 elimination of [A | I] and a chain of kernels over two prime fields
-(:func:`_exact_weyr_weights`), with no power formed or ranked.  Any other
-A, or one the two fields disagree on, has every power ranked in turn, and
-a rank sequence whose weights increase raises :class:`NumericalError`.
+(:func:`_exact_weyr_weights`), with no power formed or ranked, and each
+nullity read in the fields proved over Q by an exact check of the lifted
+chain.  Any other A, or one the fields disagree on or the check refuses,
+has every power ranked in turn, and a rank sequence whose weights
+increase raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -261,15 +263,14 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
     return len(pivots), basis
 
 
-# Two primes p = 1 (mod 4), each with a square root of -1 modulo p, so that
-# a Gaussian integer a + bi has the residue a + b*root.  With entries below
-# p, a matrix product over n <= _EXACT_ORDER terms sums to less than
-# n*p^2 < 2^53, so float64 holds every residue computation exactly.
+# Two primes p with 500 p^2 < 2^53: a matrix product of residues below p
+# over at most _EXACT_ORDER terms is exact in float64.
 _PRIMES = np.array([4244333.0, 4244329.0])[:, None, None]
-_ROOTS = np.array([3848082.0, 1572050.0])[:, None, None]
-_EXACT_ORDER = 500
 _INVERSE = np.nextafter(1.0 / _PRIMES, np.inf)  # 1/p rounded up
-_PANEL = 32  # columns per panel of the elimination of [A | I]
+_EXACT_ORDER = 500
+_PANEL = 32  # columns per panel of an elimination
+_MODULUS = 4244333 * 4244329
+_LIFT = math.isqrt(_MODULUS // 2)  # bound of a lifted numerator and denominator
 
 
 def _reduce(x: np.ndarray) -> np.ndarray:
@@ -278,74 +279,71 @@ def _reduce(x: np.ndarray) -> np.ndarray:
     error is far below 1/p, the least distance from x/p to the next
     integer.  It costs a fraction of ``np.mod`` on large arrays.  For |x|
     <= 500 p^2 the quotient may be one off, leaving [-p, 2p):
-    ``_reduce(_reduce(x) + p)``."""
-    quotient = x * _INVERSE
+    ``_reduce(_reduce(x) + p)``.  The fields are the first ``len(x)``
+    primes."""
+    quotient = x * _INVERSE[:len(x)]
     np.floor(quotient, out=quotient)
-    quotient *= _PRIMES
+    quotient *= _PRIMES[:len(x)]
     x -= quotient
     return x
 
 
-def _residues(am: np.ndarray) -> np.ndarray | None:
-    """The square Gaussian-integer matrix ``am`` modulo each prime, stacked
-    along a leading field axis, or None when ``am`` is not one, is of order
-    above 500, or has a real or imaginary part of modulus p or more once
-    divided by the gcd of all its parts (which leaves the Weyr weights as
-    they are)."""
+def _integer_form(am: np.ndarray) -> np.ndarray | None:
+    """A real integer matrix B of order at most 500, with entries of
+    modulus below p, whose Weyr weights at zero are those of ``am``, or
+    twice them when ``am`` has an imaginary part; None when ``am`` is not
+    a Gaussian-integer matrix with such a form.  B is ``am`` divided by the
+    gcd of all its parts, and the realification [[Re, -Im], [Im, Re]] of
+    that, which is similar to A + conj(A), when it is not real."""
     re, im = am.real, am.imag
-    integer = np.array_equal(re, np.round(re)) and np.array_equal(im, np.round(im))
-    if am.shape[0] > _EXACT_ORDER or not integer:
+    if not (np.array_equal(re, np.round(re)) and np.array_equal(im, np.round(im))):
         return None
-    bound, big = _PRIMES.min(), max(np.abs(re).max(), np.abs(im).max())
+    if im.any():
+        if 2 * am.shape[0] > _EXACT_ORDER:
+            return None
+        re = np.block([[re, -im], [im, re]])
+    if re.shape[0] > _EXACT_ORDER:
+        return None
+    bound, big = _PRIMES.min(), np.abs(re).max()
     if big >= bound:
         if big >= 2.0**62:
             return None
-        content = float(np.gcd.reduce(np.concatenate([re.ravel(), im.ravel()]).astype(np.int64)))
+        content = float(np.gcd.reduce(re.ravel().astype(np.int64)))
         if big / content >= bound:
             return None
-        re, im = re / content, im / content
-    x = im + _PRIMES  # in place from here, to 0 < x < 2p^2
-    x *= _ROOTS
-    x += re
-    x += _PRIMES
-    return _reduce(x)
+        re = re / content
+    return np.ascontiguousarray(re)
 
 
-def _eliminate(m: np.ndarray, ncols: int, panels: bool = False) -> list[int] | None:
-    """Gauss-Jordan elimination of each ``m[f]`` modulo its prime, in place,
-    with pivots in the first ``ncols`` columns: the k-th pivot row is
-    scaled to 1, its column cleared in every other row, and it is moved to
-    row k.  Returns the pivot columns, or None when the fields disagree: a
-    column holds a pivot in one field and not in another, or in no row
-    that both can pivot on.
+def _eliminate(m: np.ndarray, ncols: int, every: bool = False) -> list[int] | None:
+    """Gauss-Jordan elimination of each ``m[f]`` modulo the f-th prime, in
+    place, with pivots in the first ``ncols`` columns: the k-th pivot row
+    is scaled to 1, its column cleared in every other row, and it is moved
+    to row k.  Returns the pivot columns, or None when the fields disagree
+    (a column holds a pivot in one field and not in another, or in no row
+    that all can pivot on) or, with ``every``, at the first column without
+    a pivot.
 
-    A pivot updates only the nonzero columns of its row, and only the rows
-    with a nonzero in its column, which suits sparse matrices.  With
-    ``panels`` the pivot columns are taken ``_PANEL`` at a time, and a
-    panel whose rows still to pivot hold more than 2 _PANEL nonzeros each
-    on average (a dense matrix) defers its updates right of the panel.
-    Its pivots update a copy of the panel, beside an identity column for
-    each pivot row, which ends up holding the inverse G of the panel's
-    pivot block.  The pivot rows then become G times themselves, and each
-    other row loses its panel entries times them: two matrix products per
-    panel in place of one update per pivot.
+    The pivot columns are taken ``_PANEL`` at a time.  A panel's pivots
+    update a copy of the panel, beside an identity column for each pivot
+    row, which ends up holding the inverse G of the panel's pivot block.
+    The pivot rows right of the panel then become G times themselves, and
+    each other row loses its panel entries times them: two matrix products
+    per panel in place of one row update per pivot.
     """
     fields, rows, _ = m.shape
+    primes = _PRIMES[:fields]
     pivots: list[int] = []
-    step = _PANEL if panels else ncols
-    for start in range(0, ncols, step):
-        stop = min(start + step, ncols)
-        first = len(pivots)
-        defer = panels and (np.count_nonzero(m[0, first:, start:])
-                            > 2 * _PANEL * (rows - first))
-        if defer:  # the panel, then a column per pivot row that starts as its identity column
-            work = np.concatenate([m[:, :, start:stop], np.zeros((fields, rows, step))], axis=2)
-            offset = start
-        else:
-            work, offset = m, 0
+    for start in range(0, ncols, _PANEL):
+        stop = min(start + _PANEL, ncols)
+        width, first = stop - start, len(pivots)
+        # The panel, then a column per pivot row that starts as its identity column.
+        work = np.concatenate([m[:, :, start:stop], np.zeros((fields, rows, width))], axis=2)
         # A column that is zero in every row still to pivot stays so.
-        live = work[:, first:, start - offset:stop - offset].any(axis=(0, 1))
-        for col in start - offset + np.flatnonzero(live):
+        live = work[:, first:, :width].any(axis=(0, 1))
+        if every and not live.all():
+            return None
+        for col in np.flatnonzero(live):
             row = len(pivots)
             if row == rows:
                 break
@@ -353,64 +351,122 @@ def _eliminate(m: np.ndarray, ncols: int, panels: bool = False) -> list[int] | N
             common = nonzero.all(axis=0)
             i = int(common.argmax())
             if not common[i]:
-                if nonzero.any():
+                if every or nonzero.any():
                     return None
                 continue
             if i:
                 swap, back = [row, row + i], [row + i, row]
                 m[:, swap] = m[:, back]
-                if defer:
-                    work[:, swap] = work[:, back]
-            if defer:
-                work[:, row, stop - start + row - first] = 1.0
-                cols = slice(col, None)
-            else:  # the pivot row is zero left of its pivot
-                cols = col + np.flatnonzero(work[:, row, col:].any(axis=0))
-            inverse = [[[pow(int(x), -1, int(p))]] for x, p in zip(work[:, row, col], _PRIMES.flat)]
-            top = np.mod(work[:, row:row + 1, cols] * inverse, _PRIMES)
-            work[:, row:row + 1, cols] = top
+                work[:, swap] = work[:, back]
+            work[:, row, width + row - first] = 1.0
+            inverse = [[[pow(int(x), -1, int(p))]] for x, p in zip(work[:, row, col], primes.flat)]
+            top = np.mod(work[:, row:row + 1, col:] * inverse, primes)
+            work[:, row:row + 1, col:] = top
             others = np.flatnonzero(work[:, :, col].any(axis=0))
-            others = others[others != row] if defer else others[others != row, None]
-            minus = _PRIMES - work[:, others, col].reshape(fields, -1, 1)  # -multiplier mod p
-            work[:, others, cols] = _reduce(work[:, others, cols] + minus * top)
-            pivots.append(offset + int(col))
-        if defer and len(pivots) > first:
+            others = others[others != row]
+            minus = primes - work[:, others, col:col + 1]  # -multiplier mod p
+            work[:, others, col:] = _reduce(work[:, others, col:] + minus * top)
+            pivots.append(start + int(col))
+        if len(pivots) > first:
             here = slice(first, len(pivots))
-            inverse_block = work[:, here, stop - start:stop - start + len(pivots) - first]
+            inverse_block = work[:, here, width:width + len(pivots) - first]
             right = stop + np.flatnonzero(m[:, here, stop:].any(axis=(0, 1)))
-            pivot_rows = _reduce(_reduce(inverse_block @ m[:, here, right]) + _PRIMES)
+            pivot_rows = _reduce(_reduce(inverse_block @ m[:, here, right]) + primes)
             factor = m[:, :, pivots[here]]  # the panel before its pivots
             factor[:, here] = 0
             others = np.flatnonzero(factor.any(axis=(0, 2)))[:, None]
-            update = m[:, others, right] - factor[:, others[:, 0]] @ pivot_rows
-            m[:, others, right] = _reduce(_reduce(update) + _PRIMES)
+            update = factor[:, others[:, 0]] @ pivot_rows
+            np.subtract(m[:, others, right], update, out=update)
+            _reduce(update)
+            update += primes
+            m[:, others, right] = _reduce(update)
             m[:, here, right] = pivot_rows
-            m[:, :, start:stop] = work[:, :, :stop - start]
+        m[:, :, start:stop] = work[:, :, :width]
     return pivots
 
 
-def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
-    """Weyr weights at zero of a Gaussian-integer ``am`` over both prime
-    fields at once, or None when :func:`_residues` declines ``am`` or the
-    fields disagree (:func:`_eliminate`).
+def _lift(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """The flat indices of the nonzero residues ``x`` of the two fields,
+    and for each, integers a and 0 < b <= _LIFT with a = b x modulo both
+    primes, or None when some x has no such a/b with |a| <= _LIFT.  The
+    extended Euclidean algorithm on pq and x mod pq keeps r = t x mod pq
+    and stops at the first r <= _LIFT."""
+    at = np.flatnonzero(x.any(axis=0))
+    low, high = x.reshape(len(x), -1)[:, at].astype(np.int64)
+    p, q = (int(prime) for prime in _PRIMES.flat)
+    r1 = low + p * ((high - low) * pow(p, -1, q) % q)  # x mod pq
+    r0, t0, t1 = np.full_like(r1, _MODULUS), np.zeros_like(r1), np.ones_like(r1)
+    go = np.flatnonzero(r1 > _LIFT)
+    while len(go):
+        quotient = r0[go] // r1[go]
+        r0[go], r1[go] = r1[go], r0[go] - quotient * r1[go]
+        t0[go], t1[go] = t1[go], t0[go] - quotient * t1[go]
+        go = go[r1[go] > _LIFT]
+    if len(at) and np.abs(t1).max() > _LIFT:
+        return None
+    return at, np.sign(t1) * r1, np.abs(t1)
 
-    With K_k = ker A^k and R = range A, ker A^(k+1) is the preimage of
-    K_k, so w_(k+1) = dim(K_k & R) - dim(K_(k-1) & R).  One elimination of
-    [A | I] gives [E | T] with T A = E reduced: the kernel basis of A, the
-    rows N = T[r:] with y in R iff N y = 0, and the solution x[pivots] =
-    T[:r] y of A x = y.  The chain carries the frontier, w_k vectors that
-    extend K_(k-1) to K_k, and an echelon basis of N K_(k-1) with the
-    vectors of K_(k-1) it comes from.  Reducing N times the frontier
-    against that basis leaves w_(k+1) combinations in R; their solutions
-    are the next frontier.
+
+def _certified(a: np.ndarray, chain: np.ndarray, image: np.ndarray) -> bool:
+    """Whether the rows x_j of ``chain`` and their images, the rows of
+    ``image`` with A x_j = sum_i G_ji x_i in both fields, lift to rationals
+    (:func:`_lift`) for which that holds exactly, over Q, for the integer
+    matrix ``a``.  Each row of G is zero from the level of its x_j on, so
+    A^k is then zero on the first k levels, and these rows, independent
+    modulo p, prove the nullities read in the fields.  The check runs in
+    float64 once all are scaled to integers by one common denominator,
+    where bounds on the sums keep it exact."""
+    lifts = [_lift(chain), _lift(image)]
+    if lifts[0] is None or lifts[1] is None:
+        return False
+    scale = math.lcm(*np.unique(np.concatenate([den[den > 1] for _, _, den in lifts])).tolist())
+    if scale >= 2**52:
+        return False
+    v, g = np.zeros(chain.shape[1:]), np.zeros(image.shape[1:])
+    for whole, (at, num, den) in zip((v, g), lifts):
+        whole.flat[at] = num * (float(scale) / den)  # integers, exact while below 2^53
+    top = np.abs(v).max()
+    bound = max(scale * len(a) * max(a.max(), -a.min()), len(g) * np.abs(g).max()) * top
+    if bound >= 2.0**52:
+        return False
+    left = v @ a.T
+    left *= scale
+    return np.array_equal(left, g @ v)
+
+
+def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
+    """Weyr weights at zero of a Gaussian-integer ``am``, proved exact, or
+    None when :func:`_integer_form` declines ``am``, the two prime fields
+    disagree (:func:`_eliminate`), or the proof fails.
+
+    Rank n over GF(p) proves B (the integer form) nonsingular, and one
+    elimination of B alone in one field finds it.  Otherwise, with K_k =
+    ker B^k and R = range B, ker B^(k+1) is the preimage of K_k, so
+    w_(k+1) = dim(K_k & R) - dim(K_(k-1) & R).  One elimination of [B | I]
+    gives [E | T] with T B = E reduced: the kernel basis of B, the rows N =
+    T[r:] with y in R iff N y = 0, and the solution x[pivots] = T[:r] y of
+    B x = y.  The chain carries the frontier, w_k vectors that extend
+    K_(k-1) to K_k, and an echelon basis of N K_(k-1) with the vectors of
+    K_(k-1) it comes from, written over the chain.  Reducing N times the
+    frontier against that basis leaves w_(k+1) combinations in R; their
+    solutions are the next frontier, and the combinations their images.
+
+    Rank over GF(p) is at most rank over Q, so a field can only overstate
+    a nullity; :func:`_certified` proves each one over Q.
     """
-    a = _residues(am)
+    a = _integer_form(am)
     if a is None:
         return None
-    fields, n, _ = a.shape
-    m = np.concatenate([a, np.broadcast_to(np.eye(n), a.shape)], axis=2)
-    del a
-    pivots = _eliminate(m, n, panels=True)
+    n, half = a.shape[0], a.shape[0] // am.shape[0]
+    fields = len(_PRIMES)
+    m = np.zeros((fields, n, 2 * n))  # [B | I] modulo each prime
+    m[:, :, :n] = a
+    m[:, :, :n] += _PRIMES
+    _reduce(m[:, :, :n])
+    if _eliminate(m[:1, :, :n].copy(), n, every=True) is not None:
+        return ()
+    m[:, np.arange(n), n + np.arange(n)] = 1.0
+    pivots = _eliminate(m, n)
     if pivots is None:
         return None
     r, d = len(pivots), n - len(pivots)
@@ -418,15 +474,21 @@ def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
     solve = np.zeros((fields, n, n))  # row y to row x
     solve[:, :, pivots] = m[:, :r, n:].transpose(0, 2, 1)
     left = m[:, r:, n:].transpose(0, 2, 1).copy()  # row y to row N y
-    front = np.zeros((fields, d, n))  # the kernel basis, one row per free column
-    front[:, np.arange(d), free] = 1.0
-    front[:, :, pivots] = np.mod(-m[:, :r, free].transpose(0, 2, 1), _PRIMES)
+    kernel = np.mod(-m[:, :r, free].transpose(0, 2, 1), _PRIMES)
     del m
-    basis, held = np.zeros((fields, 0, d + n)), []  # rows [N u, u], reduced at ``held``
-    weights = []
-    while front.shape[1]:
-        weights.append(front.shape[1])
-        work = np.concatenate([np.mod(front @ left, _PRIMES), front], axis=2)  # rows [N x, x]
+    chain = np.zeros((fields, n, n))  # rows x_j, level by level, from the kernel basis on
+    chain[:, np.arange(d), free] = 1.0
+    chain[:, :d, pivots] = kernel
+    # Row j: B x_j over the rows of ``chain``, in float32, which holds residues exactly.
+    image = np.zeros((fields, n, n), dtype=np.float32)
+    basis, held = np.zeros((fields, 0, d + n)), []  # rows [N u, u over the chain], reduced at ``held``
+    weights, size, w = [], 0, d
+    while w:
+        weights.append(w)
+        work = np.zeros((fields, w, d + n))  # rows [N x, x over the chain] of the frontier
+        work[:, :, :d] = np.mod(chain[:, size:size + w] @ left, _PRIMES)
+        work[:, np.arange(w), d + size + np.arange(w)] = 1.0
+        size += w
         work = np.mod(work - work[:, :, held] @ basis, _PRIMES)
         new = _eliminate(work, d)
         if new is None:
@@ -435,8 +497,14 @@ def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
         if c:
             basis = np.mod(basis - basis[:, :, new] @ work[:, :c], _PRIMES)
             basis, held = np.concatenate([basis, work[:, :c]], axis=1), held + new
-        front = np.mod(work[:, c:, d:] @ solve, _PRIMES)
-    return tuple(weights)
+        w = work.shape[1] - c
+        image[:, size:size + w] = work[:, c:, d:]
+        y = np.mod(work[:, c:, d:d + size] @ chain[:, :size], _PRIMES)
+        chain[:, size:size + w] = np.mod(y @ solve, _PRIMES)
+    del solve, left, basis
+    if not _certified(a, chain[:, :size], image[:, :size, :size]):
+        return None
+    return tuple(w // half for w in weights)
 
 
 def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -445,11 +513,12 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     the algebraic multiplicity of the eigenvalue zero.
 
     A Gaussian-integer A is done exactly (:func:`_exact_weyr_weights`):
-    rank over GF(p) is at most rank over Q(i), so one field can only
-    overstate a nullity, and the weights are taken only when both fields
-    make every decision alike.  Any other A, and one that the fields
-    disagree on, has its powers formed one at a time and ranked; a weight
-    above its predecessor contradicts the rank decisions and raises
+    rank over GF(p) is at most rank over Q, so a field can only overstate
+    a nullity, and the weights are taken only when both fields make every
+    decision alike and the chain that shows them lifts to one that holds
+    over Q.  Any other A, and one the fields disagree on or whose chain
+    does not lift, has its powers formed one at a time and ranked; a
+    weight above its predecessor contradicts the rank decisions and raises
     NumericalError.
     """
     if am.shape[0] != am.shape[1]:

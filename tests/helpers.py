@@ -11,7 +11,8 @@ search, the sliced pair decoder and the hand-written threshold
 expressions are the references that the library's array, bulk and
 shared versions must match exactly.  The Weyr weights from exact ranks
 over the Gaussian rationals (``fractions.Fraction``) are the oracle of the
-exact Weyr path.
+exact Weyr path, and the Python-integer elimination and rational
+reconstruction those of its parts.
 """
 
 from __future__ import annotations
@@ -320,6 +321,50 @@ def fraction_weyr_weights(am: np.ndarray) -> tuple[int, ...]:
         weights.append(w)
         nullity += w
     return tuple(weights)
+
+
+def loop_eliminate(m, primes, ncols: int, every: bool = False):
+    """Gauss-Jordan elimination of each ``m[f]`` modulo ``primes[f]`` in
+    Python integers, one pivot at a time, with the pivot rule of the
+    library's panelled elimination: in each of the first ``ncols``
+    columns, the first row still to pivot that is nonzero in every field,
+    swapped into place.  Returns the eliminated rows and the pivot columns,
+    or None where the library gives up (a column nonzero in some field but
+    in no row that all can pivot on; with ``every``, a column without a
+    pivot)."""
+    rows = [[[int(x) for x in row] for row in field] for field in m]
+    pivots: list[int] = []
+    for col in range(ncols):
+        row = len(pivots)
+        if row == len(rows[0]):
+            break
+        common = [i for i in range(row, len(rows[0])) if all(f[i][col] for f in rows)]
+        if not common:
+            if every or any(f[i][col] for f in rows for i in range(row, len(rows[0]))):
+                return None
+            continue
+        for f, p in zip(rows, primes):
+            f[row], f[common[0]] = f[common[0]], f[row]
+            inverse = pow(f[row][col], -1, p)
+            f[row] = [x * inverse % p for x in f[row]]
+            for i, other in enumerate(f):
+                if i != row and other[col]:
+                    factor = other[col]
+                    f[i] = [(x - factor * y) % p for x, y in zip(other, f[row])]
+        pivots.append(col)
+    return rows, pivots
+
+
+def wang_lift(x: int, modulus: int, bound: int):
+    """The a/b with |a| <= bound and 0 < b <= bound that the extended
+    Euclidean algorithm on (modulus, x) reaches first, or None."""
+    r0, r1, t0, t1 = modulus, x % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if abs(t1) > bound:
+        return None
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
 def loop_render_json(value) -> str:

@@ -349,6 +349,14 @@ class TestExitCodes:
         argv = ["weyr", "--matrix", files["write"]("j64.json", matrix_to_json(a))] + tol
         assert run_cli(capsys, argv) == (0, '{"weyr": [%s]}\n' % ", ".join(["1"] * 64), "")
 
+    @pytest.mark.parametrize("tol", [[], ["--tol", "0"]])
+    def test_weyr_of_nonsingular_matrix_singular_in_both_fields(self, capsys, files, tol):
+        # det = 4244333 * 4244329, the product of the two primes of the
+        # exact path: both fields read a kernel that Q does not have.
+        a = np.array([[4244328, -1, 0], [0, 2122167, -1], [5, 0, 2]])
+        argv = ["weyr", "--matrix", files["write"]("pq.json", matrix_to_json(a))] + tol
+        assert run_cli(capsys, argv) == (0, '{"weyr": []}\n', "")
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reconstruct_overflow_is_numerical_failure(self, capsys, files):
         # Biorthonormal chains whose outer products leave the float range.

@@ -257,6 +257,15 @@ class TestMirskySpectrum:
         assert pred.zero_count == sum(weyr_zero(a, tol).weights) == sum(sizes) - h * nonzero
         assert len(pred.root_orbits) == nonzero
 
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL])
+    def test_no_zero_from_a_determinant_of_both_primes(self, tol):
+        # B_1 = M with det M = 4244333 * 4244329: singular modulo each prime
+        # of the exact Weyr path, with the same pivots, and nonsingular.
+        m = np.array([[4244328, -1, 0], [0, 2122167, -1], [5, 0, 2]], dtype=complex)
+        a = assemble_blocks([m, np.eye(3)])
+        pred = mirsky_spectrum(a, helpers.consecutive_partition([3, 3]), tol)
+        assert pred.zero_count == 0 and len(pred.root_orbits) == 3
+
 
 class TestStructureCheck:
     def test_six_example_singular(self, six):

@@ -384,16 +384,42 @@ class TestWeyrWeights:
             for tol in (0.0, DEFAULT_TOL, 1e-3):
                 assert _weyr_weights(a, tol) == weights
 
-    @pytest.mark.parametrize("prime", [P, Q])
-    def test_fields_that_disagree_fall_back(self, prime):
-        # det = prime: singular over GF(prime), where one field alone would
-        # read the weights (1,), and nonsingular over the other field and
-        # over Q.  The fields disagree, so the powers are ranked.
-        a = np.array([[2, 1], [1, (prime + 1) // 2]], dtype=complex)
-        assert 2 * ((prime + 1) // 2) - 1 == prime
-        assert matrix_core._residues(a) is not None
+    def test_fields_that_disagree_fall_back(self):
+        # det = p: singular over GF(p), where that field alone would read
+        # the weights (1,), and nonsingular over GF(q) and over Q.  The
+        # fields disagree, so the powers are ranked.
+        a = np.array([[2, 1], [1, (P + 1) // 2]], dtype=complex)
+        assert 2 * ((P + 1) // 2) - 1 == P
+        assert matrix_core._integer_form(a) is not None
         assert matrix_core._exact_weyr_weights(a) is None
         assert _weyr_weights(a, DEFAULT_TOL) == _weyr_weights(a, 0.0) == ()
+
+    def test_rank_n_in_the_first_field_is_proof(self):
+        # det = q: rank 2 over GF(p) proves A nonsingular, with no
+        # elimination of [A | I] and nothing ranked.
+        a = np.array([[2, 1], [1, (Q + 1) // 2]], dtype=complex)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix_core, "matrix_rank", no_rank)
+            assert matrix_core._exact_weyr_weights(a) == ()
+
+    @pytest.mark.parametrize("blocks, weights", [([], ()), ([1], (1,)), ([2, 1], (2, 1))])
+    def test_minors_divisible_by_both_primes_fall_back(self, blocks, weights):
+        # det M = 4244331^2 - 4 = p q, with every entry below both primes:
+        # M has rank 2 over both fields, with the same pivots, so the
+        # fields agree on a kernel vector that is none over Q.  Its lift
+        # fails the exact check, and the powers are ranked, which read the
+        # weights at tol 0.  (At the default tol the powers of M, entries
+        # near 10^13 and up, set a threshold that swallows the blocks.)
+        m = np.array([[4244328, -1, 0], [0, 2122167, -1], [5, 0, 2]])
+        assert 4244328 * 2122167 * 2 + 5 == P * Q
+        k = sum(blocks)
+        a = np.zeros((k + 3, k + 3), dtype=complex)
+        for start, size in zip(np.cumsum([0] + blocks), blocks):
+            a[start:start + size, start:start + size] = jordan_block(size, 0)
+        a[k:, k:] = m
+        assert matrix_core._integer_form(a) is not None
+        assert matrix_core._exact_weyr_weights(a) is None
+        assert _weyr_weights(a, 0.0) == weights
 
     @pytest.mark.parametrize("prime", [P, Q])
     def test_multiple_of_a_prime(self, prime):
@@ -419,42 +445,89 @@ class TestWeyrWeights:
         (2.0**62 * jordan_block(5, 0), False),
         (0.5 * jordan_block(5, 0), False),  # not integer, though nilpotent
         (jordan_plus_scalar(4, 0.05, 4), False),
+        (np.zeros((500, 500)), True),
         (np.zeros((501, 501)), False),  # above the order that keeps sums exact
+        (1j * np.eye(250), True),
+        (1j * np.eye(251), False),  # realified, of order 502
     ])
     def test_exact_path_inputs(self, a, taken):
-        assert (matrix_core._residues(np.asarray(a, dtype=complex)) is not None) is taken
+        assert (matrix_core._integer_form(np.asarray(a, dtype=complex)) is not None) is taken
 
-    def test_residues_are_exact(self):
-        # Parts at and near the bound +-(Q - 1), near multiples of each
-        # prime and at random, against Python integers.
-        rng = np.random.default_rng(5)
-        edge = np.array([0, 1, -1, Q - 1, 1 - Q, 2, Q - 2, (Q - 1) // 2, -(Q - 1) // 2])
-        parts = np.concatenate([edge, rng.integers(1 - Q, Q, 16 * 16 * 2 - len(edge))])
-        a = (parts[:256] + 1j * rng.permutation(parts)[:256]).reshape(16, 16)
-        got = matrix_core._residues(a)
-        for field, (prime, root) in enumerate([(P, 3848082), (Q, 1572050)]):
-            assert pow(root, 2, prime) == prime - 1
-            want = [[(int(z.real) + root * int(z.imag)) % prime for z in row] for row in a]
-            assert got[field].tolist() == want
+    def test_integer_form(self):
+        # Divided by the gcd of all parts; realified when not real, and
+        # then twice the weights.
+        a = 6 * Q * np.array([[1 + 2j, 0], [3j, -1]])
+        b = matrix_core._integer_form(a)
+        re, im = a.real / (6 * Q), a.imag / (6 * Q)
+        assert np.array_equal(b, np.block([[re, -im], [im, re]]))
+        assert np.array_equal(matrix_core._integer_form(Q * np.eye(2, dtype=complex)), np.eye(2))
+        c = np.array([[0, 1j, 0], [0, 0, 1 - 1j], [0, 0, 2j]])
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix_core, "matrix_rank", no_rank)
+            assert _weyr_weights(c, DEFAULT_TOL) == helpers.fraction_weyr_weights(c) == (1, 1)
 
-    @settings(max_examples=40)
+    def test_reduce_is_exact(self):
+        # 0 <= x < 4p^2, and |x| <= 500 p^2 in two steps, against Python
+        # integers, at the ends of each range and at random.
+        rng = np.random.default_rng(3)
+        for field, prime in enumerate([P, Q]):
+            top = 4 * prime**2
+            edge = [0, 1, prime - 1, prime, prime + 1, top - 1, top - prime, prime**2, 2 * prime**2 - 1]
+            x = np.array(edge + rng.integers(0, top, 4000).tolist(), dtype=float)
+            got = matrix_core._reduce(np.stack([x, x])[:, None])[field, 0]
+            assert got.tolist() == [v % prime for v in x.astype(np.int64).tolist()]
+            wide = 500 * prime**2
+            y = np.array([-wide, wide, -1, 0] + rng.integers(-wide, wide, 4000).tolist(), dtype=float)
+            got = matrix_core._reduce(matrix_core._reduce(np.stack([y, y])[:, None]) + matrix_core._PRIMES)
+            assert got[field, 0].tolist() == [v % prime for v in y.astype(np.int64).tolist()]
+
+    @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        n=st.integers(33, 90),
+        n=st.integers(1, 90),
         density=st.sampled_from([0.05, 0.3, 1.0]),
         rank=st.integers(0, 90),
+        every=st.booleans(),
     )
-    def test_panels_match_pivot_by_pivot(self, seed, n, density, rank):
-        # A dense panel defers its updates to two matrix products; the
-        # eliminated [A | I] is the same, pivot for pivot.
+    def test_elimination_matches_reference(self, seed, n, density, rank, every):
+        # Panels of 32 columns defer their updates to two matrix products;
+        # the eliminated [A | I] is the one a pivot-by-pivot elimination in
+        # Python integers leaves, pivot for pivot.
         rng = np.random.default_rng(seed)
         k = min(rank, n)
         a = (rng.integers(-3, 4, (n, k)) * (rng.random((n, k)) < density)) @ rng.integers(-2, 3, (k, n))
-        r = matrix_core._residues(a.astype(complex))
+        r = np.mod(a, matrix_core._PRIMES)
         m = np.concatenate([r, np.broadcast_to(np.eye(n), r.shape)], axis=2)
-        plain = m.copy()
-        assert matrix_core._eliminate(m, n, panels=True) == matrix_core._eliminate(plain, n)
-        assert np.array_equal(m, plain)
+        want = helpers.loop_eliminate(m, [P, Q], n, every)
+        got = matrix_core._eliminate(m, n, every)
+        if want is None:
+            assert got is None
+        else:
+            assert got == want[1]
+            assert m.astype(np.int64).tolist() == want[0]
+
+    @settings(max_examples=60)
+    @given(
+        num=st.integers(-matrix_core._LIFT, matrix_core._LIFT),
+        den=st.integers(1, matrix_core._LIFT),
+        noise=st.integers(0, P * Q - 1),
+    )
+    def test_lift(self, num, den, noise):
+        # A small a/b comes back as itself; any residue x lifts as the
+        # extended Euclidean algorithm in Python integers lifts it, and 0
+        # is not lifted.
+        x = num * pow(den, -1, P * Q) % (P * Q)
+        pairs = np.array([[[x % P, noise % P]], [[x % Q, noise % Q]]], dtype=float)
+        want = helpers.wang_lift(noise, P * Q, matrix_core._LIFT)
+        got = matrix_core._lift(pairs)
+        if want is None:
+            assert got is None
+            got = matrix_core._lift(pairs[:, :, :1])
+        lifted = {int(i): (int(a), int(b)) for i, a, b in zip(*got)}
+        assert 0 not in lifted if num == 0 else lifted[0][0] * den == lifted[0][1] * num
+        if want is not None:
+            assert lifted.get(1, (0, 1)) == want
+            assert (1 in lifted) is (noise != 0)
 
     @pytest.mark.parametrize("diagonal", [[0.05] * 4, [0.05] * 10, [0.05] * 4 + [2]])
     def test_small_eigenvalue_does_not_extend_the_run(self, diagonal):
