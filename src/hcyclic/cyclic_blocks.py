@@ -19,6 +19,7 @@ from .digraph import CyclicPartition, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
+    _exact_weyr_weights,
     _finite,
     _threshold,
     _weyr_weights,
@@ -240,15 +241,17 @@ def nonsingular_structure_check(a, part: CyclicPartition, tol: float = DEFAULT_T
     """Singularity and size structure of an h-cyclic matrix.
 
     The matrix is singular exactly when some cycle product B_i is rank
-    deficient.  A nonsingular h-cyclic matrix must have equal class sizes,
-    hence h | n; that implication is asserted here because only a
-    misclassified rank can break it.
+    deficient; a Gaussian-integer B_i is decided exactly, as in
+    :func:`mirsky_spectrum`.  A nonsingular h-cyclic matrix must have
+    equal class sizes, hence h | n; that implication is asserted here
+    because only a misclassified rank can break it.
     """
     bc = _checked_cycle(a, part, tol)[1]
     singular_blocks = []
     for i in range(1, part.h + 1):
         b = partial_product(bc, i, part.h)
-        if matrix_rank(b, tol) < b.shape[0]:
+        exact = _exact_weyr_weights(b)
+        if matrix_rank(b, tol) < b.shape[0] if exact is None else exact:
             singular_blocks.append(i)
     singular = bool(singular_blocks)
     sizes_equal = len(set(part.sizes)) == 1

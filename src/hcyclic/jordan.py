@@ -45,7 +45,6 @@ from .matrix_core import (
     as_complex_matrix,
     as_complex_vector,
     jordan_block,
-    hadamard,
     matrix_rank,
     norm_inf,
     null_space,
@@ -227,25 +226,24 @@ def zero_chain_from_null_vector(
 
     Embeds x into class i, then applies the matrix until the vector dies;
     the minimal p <= h with A^p v = 0 is the chain length, and the chain
-    is (A^{p-1} v, ..., A v, v).  The partial products check the same
-    minimality on the block level: B_ip x = 0 while B_iq x != 0 for q < p.
+    is (A^{p-1} v, ..., A v, v).  A^q v is the partial product B_iq x
+    placed on class alpha^{-q}(i), so this walk is also the block-level
+    minimality of p; the chain is then verified against A.
     """
     am, bc = _checked_cycle(a, part, tol)
     xv = as_complex_vector(x)
     if norm_inf(xv) == 0.0:
         raise ValueError("seed vector must be nonzero")
-    products = [partial_product(bc, i, q) for q in range(1, part.h + 1)]
-    return _zero_chain(am, norm_inf(am), part, i, products, xv, tol)
+    return _zero_chain(am, norm_inf(am), part, i, partial_product(bc, i, part.h), xv, tol)
 
 
 def _zero_chain(am: np.ndarray, na: float, part: CyclicPartition, i: int,
-                products: list[np.ndarray], xv: np.ndarray, tol: float,
+                b_i: np.ndarray, xv: np.ndarray, tol: float,
                 not_kernel=ValueError) -> ZeroChainReport:
-    # ``am`` is h-cyclic for ``part``, ``na = norm_inf(am)``, and
-    # ``products`` are the partial products P_{i,1..h} of its cycle blocks.
-    # A seed outside the kernel is bad input, or, for a basis vector that
-    # null_space returned, a NumericalError (``not_kernel``).
-    b_i = products[-1]
+    # ``am`` is h-cyclic for ``part``, ``na = norm_inf(am)``, and ``b_i``
+    # is its cycle product B_i.  A seed outside the kernel is bad input,
+    # or, for a basis vector that null_space returned, a NumericalError
+    # (``not_kernel``).
     if norm_inf(b_i @ xv) > _threshold(tol, norm_inf(b_i), norm_inf(xv)):
         raise not_kernel(f"seed vector is not in the kernel of cycle product B_{i}")
 
@@ -264,15 +262,6 @@ def _zero_chain(am: np.ndarray, na: float, part: CyclicPartition, i: int,
             f"A^q v stayed nonzero for all q <= h; kernel membership of the seed "
             f"is numerically inconsistent (class {i})"
         )
-
-    # Block-level minimality must agree with the full-matrix iteration.
-    for q in range(1, p + 1):
-        piece = products[q - 1] @ xv
-        small = norm_inf(piece) <= _threshold(tol, na, nx, power=q)
-        if small != (q == p):
-            raise NumericalError(
-                f"partial product B_i{q} disagrees with the power iteration at class {i}"
-            )
 
     chain = JordanChain(eigenvalue=0j, orientation="right", vectors=tuple(reversed(powers)))
     if not _verify_chain(am, na, chain, tol):
@@ -341,11 +330,8 @@ def zero_chains_all(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> ZeroC
     reports: list[ZeroChainReport] = []
     for i in range(1, part.h + 1):
         b_i = partial_product(bc, i, part.h)
-        kernel = null_space(b_i, tol)[1]
-        if kernel:  # the shorter partial products, formed once for all seeds
-            products = [partial_product(bc, i, q) for q in range(1, part.h)] + [b_i]
-        for vec in kernel:
-            reports.append(_zero_chain(am, na, part, i, products, vec, tol, NumericalError))
+        for vec in null_space(b_i, tol)[1]:
+            reports.append(_zero_chain(am, na, part, i, b_i, vec, tol, NumericalError))
     return ZeroChainSummary(
         reports=tuple(reports),
         weyr=weyr_zero(am, tol),
@@ -433,7 +419,7 @@ def reconstruct_from_chains(
         for j in range(p - 1):
             coupling_part += np.outer(rc.vectors[j], lc.vectors[j + 1])
         synthesized = _finite(lam * h * eigen_part + h * coupling_part, "synthesized matrix")
-        out += hadamard(synthesized, mask)
+        out += synthesized * mask  # the same bits as a complex 0/1 mask
 
     j_full = np.zeros((n, n), dtype=complex)
     pos = 0

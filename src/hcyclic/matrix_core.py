@@ -529,9 +529,10 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
         return exact
     n = am.shape[0]
     weights: list[int] = []
-    power, nullity = np.eye(n, dtype=complex), 0
+    power, nullity = am, 0
     while nullity < n:
-        power = _finite(power @ am, f"A^{len(weights) + 1}")
+        if weights:
+            power = _finite(power @ am, f"A^{len(weights) + 1}")
         w = n - matrix_rank(power, tol) - nullity
         if w <= 0:
             break

@@ -290,6 +290,18 @@ class TestStructureCheck:
         assert not report.singular
         assert report.sizes_equal and report.h_divides_n
 
+    @pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-2])
+    def test_integer_product_decided_exactly(self, tol):
+        # det B_1 = 4e6, but its float rank at tol 1e-2 is 1: an integer
+        # B_i is decided exactly, as the spectrum and Weyr weights are.
+        b = np.array([[4e6, 4e6], [4e6, 4e6 + 1]])
+        a = assemble_blocks([b, np.eye(2)])
+        part = helpers.consecutive_partition([2, 2])
+        report = nonsingular_structure_check(a, part, tol)
+        assert not report.singular and report.singular_blocks == ()
+        assert mirsky_spectrum(a, part, tol).zero_count == 0
+        assert weyr_zero(a, tol).weights == ()
+
     def test_nonsingular_implies_equal_sizes(self, rng):
         for _ in range(20):
             a, part = helpers.random_block_cycle(rng, nonsingular=True, max_size=3)

@@ -2,7 +2,7 @@ import cmath
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hcyclic.cyclic_blocks
@@ -28,8 +28,29 @@ from hcyclic import (
     zero_chain_from_null_vector,
     zero_chains_all,
 )
+from hcyclic.digraph import _block_mask
+from hcyclic.matrix_core import _threshold
 
 import helpers
+
+
+@st.composite
+def noisy_block_cycles(draw):
+    """Block cycles with h 2 to 4 and classes of 1 to 4 vertices, integer
+    or Gaussian blocks, and at times noise of 1e-12 off the pattern."""
+    h = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=h, max_size=h))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = [(sizes[i], sizes[(i + 1) % h]) for i in range(h)]
+    if draw(st.booleans()):
+        blocks = [rng.integers(-2, 3, shape) for shape in shapes]
+    else:
+        blocks = [rng.standard_normal(shape) for shape in shapes]
+    a = assemble_blocks(blocks)
+    part = helpers.consecutive_partition(sizes)
+    if draw(st.booleans()):
+        a += 1e-12 * rng.uniform(-1, 1, a.shape) * ~_block_mask(part)
+    return a, part
 
 
 def golden_zero_chain():
@@ -280,8 +301,8 @@ class TestZeroChains:
         assert summary.zero_block_sizes == (3, 2, 2, 1, 1)
 
     def test_validates_once(self, twelve, monkeypatch):
-        # One h-cyclicity check, and each class's partial products formed
-        # once: h for a singular class, only B_i for another.
+        # One h-cyclicity check, and one partial product per class: B_i,
+        # whose kernel seeds the chains; the walk with A does the rest.
         a, part = twelve
         calls = []
         products = []
@@ -302,9 +323,40 @@ class TestZeroChains:
         summary = zero_chains_all(a, part)
         assert len(summary.reports) == 9
         assert len(calls) == 1
-        singular = summary.by_class()
-        for i in range(1, part.h + 1):
-            assert products.count(i) == (part.h if i in singular else 1)
+        assert set(summary.by_class()) == {1, 2, 3}  # every class is singular
+        assert products == [1, 2, 3]
+
+    def test_walk_alone_decides_the_length_at_tol_zero(self):
+        # B_11 x is round-off at tol 0 while A v is exactly zero: the walk
+        # with A gives the length, as at any tol above 0, and the chain
+        # holds against A.  The lengths are the conjugate of the Weyr
+        # weights.
+        a = assemble_blocks([[[3, 1], [-2, -1], [0, 3]], [[1, 3, 1], [3, 2, 0]]])
+        part = CyclicPartition(2, ((1, 2, 3), (4, 5)))
+        for tol in (0.0, 1e-9):
+            summary = zero_chains_all(a, part, tol)
+            assert summary.lengths_by_class() == {1: [1]}
+            assert verify_chain(a, summary.reports[0].chain, tol)
+            assert (1,) == summary.weyr.weights == summary.zero_block_sizes
+
+    @settings(max_examples=150)
+    @given(case=noisy_block_cycles())
+    def test_length_is_the_least_vanishing_partial_product(self, case):
+        # A^q v is B_iq x placed on one class, so the length the walk
+        # finds is the least q at which B_iq x falls below the threshold.
+        a, part = case
+        tol = 1e-9
+        bc = extract_blocks(a, part, tol)
+        na = float(np.max(np.sum(np.abs(a), axis=1)))
+        for report in zero_chains_all(a, part, tol).reports:
+            x = report.seed
+            nx = float(np.max(np.abs(x)))
+            small = [
+                np.max(np.abs(partial_product(bc, report.class_index, q) @ x))
+                <= _threshold(tol, na, nx, power=q)
+                for q in range(1, part.h + 1)
+            ]
+            assert report.length == small.index(True) + 1
 
     def test_scale_separated_exact_chain(self):
         # The chain (1e200 e_1, e_3) is exact; its vectors differ in scale

@@ -402,6 +402,22 @@ class TestWeyrWeights:
             patch.setattr(matrix_core, "matrix_rank", no_rank)
             assert matrix_core._exact_weyr_weights(a) == ()
 
+    def test_float_loop_ranks_a_before_any_product(self, monkeypatch):
+        # The float loop ranks A itself first: a nonsingular A forms no
+        # product, and the nilpotent J_2 / 2 forms A^2 alone.
+        formed = []
+        original = matrix_core._finite
+
+        def counting(arr, what):
+            formed.append(what)
+            return original(arr, what)
+
+        monkeypatch.setattr(matrix_core, "_finite", counting)
+        assert _weyr_weights(np.array([[0.5, 0.25], [0.1, 1.3]], dtype=complex), DEFAULT_TOL) == ()
+        assert formed == []
+        assert _weyr_weights(jordan_block(2, 0) / 2, DEFAULT_TOL) == (1, 1)
+        assert formed == ["A^2"]
+
     @pytest.mark.parametrize("blocks, weights", [([], ()), ([1], (1,)), ([2, 1], (2, 1))])
     def test_minors_divisible_by_both_primes_fall_back(self, blocks, weights):
         # det M = 4244331^2 - 4 = p q, with every entry below both primes:
