@@ -19,12 +19,11 @@ from .digraph import CyclicPartition, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
-    _exact_weyr_weights,
     _finite,
+    _singular,
     _threshold,
     _weyr_weights,
     as_complex_matrix,
-    matrix_rank,
     norm_inf,
     submatrix,
 )
@@ -249,9 +248,7 @@ def nonsingular_structure_check(a, part: CyclicPartition, tol: float = DEFAULT_T
     bc = _checked_cycle(a, part, tol)[1]
     singular_blocks = []
     for i in range(1, part.h + 1):
-        b = partial_product(bc, i, part.h)
-        exact = _exact_weyr_weights(b)
-        if matrix_rank(b, tol) < b.shape[0] if exact is None else exact:
+        if _singular(partial_product(bc, i, part.h), tol):
             singular_blocks.append(i)
     singular = bool(singular_blocks)
     sizes_equal = len(set(part.sizes)) == 1

@@ -45,6 +45,7 @@ from .matrix_core import (
     as_complex_matrix,
     as_complex_vector,
     jordan_block,
+    hadamard,
     matrix_rank,
     norm_inf,
     null_space,
@@ -227,8 +228,9 @@ def zero_chain_from_null_vector(
     Embeds x into class i, then applies the matrix until the vector dies;
     the minimal p <= h with A^p v = 0 is the chain length, and the chain
     is (A^{p-1} v, ..., A v, v).  A^q v is the partial product B_iq x
-    placed on class alpha^{-q}(i), so this walk is also the block-level
-    minimality of p; the chain is then verified against A.
+    placed on class alpha^{-q}(i), so the walk measures those rows only
+    and finds the block-level minimality of p; the chain is then verified
+    against A.
     """
     am, bc = _checked_cycle(a, part, tol)
     xv = as_complex_vector(x)
@@ -253,7 +255,10 @@ def _zero_chain(am: np.ndarray, na: float, part: CyclicPartition, i: int,
     p = 0
     for q in range(1, part.h + 1):
         w = am @ powers[-1]
-        if norm_inf(w) <= _threshold(tol, na, nx, power=q):
+        # The rows of class alpha^{-q}(i) hold B_iq x; off-pattern entries
+        # below tol elsewhere must not keep the walk alive.
+        rows = np.asarray(part.classes[(i - 1 - q) % part.h]) - 1
+        if norm_inf(w[rows]) <= _threshold(tol, na, nx, power=q):
             p = q
             break
         powers.append(w)
@@ -419,7 +424,7 @@ def reconstruct_from_chains(
         for j in range(p - 1):
             coupling_part += np.outer(rc.vectors[j], lc.vectors[j + 1])
         synthesized = _finite(lam * h * eigen_part + h * coupling_part, "synthesized matrix")
-        out += synthesized * mask  # the same bits as a complex 0/1 mask
+        out += hadamard(synthesized, mask)
 
     j_full = np.zeros((n, n), dtype=complex)
     pos = 0

@@ -545,6 +545,13 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     return tuple(weights)
 
 
+def _singular(am: np.ndarray, tol: float) -> bool:
+    """Whether the square ``am`` is singular: exactly for a Gaussian-integer
+    matrix (as in :func:`_weyr_weights`), else by one rank at ``tol``."""
+    exact = _exact_weyr_weights(am)
+    return matrix_rank(am, tol) < am.shape[0] if exact is None else bool(exact)
+
+
 def _pairs_to_json(values) -> list[list[float]]:
     """``[[re, im], ...]`` for complex values, flattened in row-major order;
     the floats are exactly the parts of each value, signed zeros included."""
