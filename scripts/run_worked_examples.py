@@ -2,9 +2,12 @@
 """Walk through the two hand-worked 3-cyclic matrices end to end.
 
 Prints structure detection, cycle blocks, the predicted spectrum against
-its closed form, zero-eigenvalue chains, and the Weyr characteristic.
-Run from the repository root; falls back to src/ if the package is not
-installed.
+its closed form, the singularity report, zero-eigenvalue chains, and the
+Weyr characteristic.  Exits 1 unless, for each example, the report is
+singular exactly when the predicted spectrum has a zero, the Weyr
+weights sum to the zero count, and every class with a zero chain is among
+the singular ones.  Run from the repository root; falls back to src/ if
+the package is not installed.
 """
 
 import sys
@@ -35,7 +38,8 @@ def twelve_matrix():
     return hc.assemble_blocks([np.ones((4, 4)), a23, np.eye(4)])
 
 
-def analyze(name, a):
+def analyze(name, a) -> list[str]:
+    """Print the walk-through of ``a`` and return the identities it breaks."""
     print(f"=== {name} (order {a.shape[0]}) ===")
     g = hc.digraph_of(a)
     idx = hc.cyclic_index(g)
@@ -56,17 +60,33 @@ def analyze(name, a):
         print("  orbit:", ", ".join(f"{z:.6f}" for z in orbit))
     print(f"  closed form 2^(2/3) = {2 ** (2 / 3):.12f}")
 
+    check = hc.nonsingular_structure_check(a, part)
+    print(f"singular: {check.singular}, singular cycle products: {list(check.singular_blocks)}")
+
     summary = hc.zero_chains_all(a, part)
     print(f"zero chain lengths by class: {summary.lengths_by_class()}")
     print(f"Weyr characteristic at 0: {list(summary.weyr.weights)}")
     print(f"zero Jordan block sizes: {list(summary.zero_block_sizes)}")
     print()
 
+    broken = []
+    if check.singular != (pred.zero_count > 0):
+        broken.append(f"singular is {check.singular} with {pred.zero_count} predicted zeros")
+    if sum(summary.weyr.weights) != pred.zero_count:
+        broken.append(f"Weyr weights sum to {sum(summary.weyr.weights)}, not {pred.zero_count}")
+    if not set(summary.by_class()) <= set(check.singular_blocks):
+        broken.append(f"chains in classes {sorted(summary.by_class())} "
+                      f"outside the singular {list(check.singular_blocks)}")
+    return [f"{name}: {b}" for b in broken]
+
 
 def main():
-    analyze("sizes (1, 3, 2) example", six_matrix())
-    analyze("sizes (4, 4, 4) example", twelve_matrix())
+    broken = analyze("sizes (1, 3, 2) example", six_matrix())
+    broken += analyze("sizes (4, 4, 4) example", twelve_matrix())
+    for line in broken:
+        print(f"identity fails: {line}", file=sys.stderr)
+    return 1 if broken else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -101,14 +101,7 @@ COMMAND_OPERATIONS = {
         "weyr_zero",
     ),
     "weyr": ("weyr_zero",),
-    "reconstruct": (
-        "rotate_right_chain",
-        "rotate_left_chain",
-        "hadamard",
-        "jordan_block",
-        "is_h_cyclic",
-        "reconstruct_from_chains",
-    ),
+    "reconstruct": ("hadamard", "jordan_block", "reconstruct_from_chains"),
 }
 
 

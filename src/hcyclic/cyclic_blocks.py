@@ -239,28 +239,24 @@ class StructureReport:
 def nonsingular_structure_check(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> StructureReport:
     """Singularity and size structure of an h-cyclic matrix.
 
-    The matrix is singular exactly when some cycle product B_i is rank
-    deficient; a Gaussian-integer B_i is decided exactly, as in
-    :func:`mirsky_spectrum`.  A nonsingular h-cyclic matrix must have
-    equal class sizes, hence h | n; that implication is asserted here
-    because only a misclassified rank can break it.
+    One cycle product decides every class: that of the first class of
+    smallest size s, by :func:`matrix_core._singular` (exact for a
+    Gaussian-integer product, as in :func:`mirsky_spectrum`).  If it is
+    singular, every B_i is; otherwise the singular B_i are those of the
+    classes with more than s vertices.  A nonsingular matrix therefore
+    always has equal class sizes, hence h | n.
     """
     bc = _checked_cycle(a, part, tol)[1]
-    singular_blocks = []
-    for i in range(1, part.h + 1):
-        if _singular(partial_product(bc, i, part.h), tol):
-            singular_blocks.append(i)
-    singular = bool(singular_blocks)
-    sizes_equal = len(set(part.sizes)) == 1
-    h_divides_n = part.n % part.h == 0
-    if not singular and not (sizes_equal and h_divides_n):
-        raise NumericalError(
-            "all cycle products look nonsingular yet class sizes are unequal; "
-            "rank tolerance is inconsistent"
-        )
+    # All B_i share their m nonzero eigenvalues (AB and BA do), so m <= s
+    # and B_i is singular exactly when |V_i| > m: when m < s, every B_i is.
+    s = min(part.sizes)
+    all_singular = _singular(partial_product(bc, part.sizes.index(s) + 1, part.h), tol)
+    singular_blocks = tuple(
+        i for i, size in enumerate(part.sizes, start=1) if all_singular or size > s
+    )
     return StructureReport(
-        singular=singular,
-        singular_blocks=tuple(singular_blocks),
-        sizes_equal=sizes_equal,
-        h_divides_n=h_divides_n,
+        singular=bool(singular_blocks),
+        singular_blocks=singular_blocks,
+        sizes_equal=len(set(part.sizes)) == 1,
+        h_divides_n=part.n % part.h == 0,
     )

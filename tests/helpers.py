@@ -302,6 +302,12 @@ def _gaussian_rank(rows: list[list[tuple[Fraction, Fraction]]]) -> int:
     return rank
 
 
+def fraction_rank(am: np.ndarray) -> int:
+    """Exact rank over Q(i) of a Gaussian-integer matrix."""
+    return _gaussian_rank([[(Fraction(int(z.real)), Fraction(int(z.imag))) for z in row]
+                           for row in np.asarray(am, dtype=complex)])
+
+
 def fraction_weyr_weights(am: np.ndarray) -> tuple[int, ...]:
     """Weyr weights at zero of a Gaussian-integer matrix from the exact
     ranks of its powers over Q(i), one rank per power."""

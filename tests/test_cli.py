@@ -331,13 +331,31 @@ class TestExitCodes:
     )
     def test_overflow_is_numerical_failure(self, capsys, files, command):
         # Valid input whose cycle products or powers leave the float range.
-        rows = [[1e200, 1e200], [0, 0]] if command == "weyr" else [[0, 1e200], [1e200, 0]]
+        # zero-chains forms B_i of singular classes only, so its input is
+        # singular: B_2 = A_21 A_12 of order 2 has rank 1.
+        rows, part = [[0, 1e200], [1e200, 0]], {"h": 2, "classes": [[1], [2]]}
+        if command == "weyr":
+            rows = [[1e200, 1e200], [0, 0]]
+        elif command == "zero-chains":
+            rows = [[0, 1e200, 1e200], [1e200, 0, 0], [1e200, 0, 0]]
+            part = {"h": 2, "classes": [[1], [2, 3]]}
         argv = [command, "--matrix", files["write"]("huge.json", matrix_to_json(np.array(rows)))]
         if command != "weyr":
-            argv += ["--partition", files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]})]
+            argv += ["--partition", files["write"]("pair.json", part)]
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert "error:" in err and "Traceback" not in err
+
+    def test_nonsingular_overflow_forms_no_zero_chain(self, capsys, files):
+        # weyr reads () for [[0, 1e200], [1e200, 0]] (exactly: 1e200 times a
+        # permutation), so no class is singular and no B_i is formed.
+        huge = matrix_to_json(np.array([[0, 1e200], [1e200, 0]]))
+        argv = ["zero-chains", "--matrix", files["write"]("huge.json", huge),
+                "--partition", files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]})]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out) == {"classes": [], "weyr": [], "zero_block_sizes": [],
+                                   "cross_class_redundancy": False}
 
     @pytest.mark.parametrize("tol", [[], ["--tol", "0"]])
     def test_weyr_of_long_block_beside_large_eigenvalue(self, capsys, files, tol):

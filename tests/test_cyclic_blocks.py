@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import hcyclic.cyclic_blocks
 from hcyclic import (
     DEFAULT_TOL,
     CyclicPartition,
@@ -13,6 +14,7 @@ from hcyclic import (
     block_diagonal_power,
     extract_blocks,
     jordan_block,
+    matrix_rank,
     mirsky_spectrum,
     nonsingular_structure_check,
     partial_product,
@@ -267,7 +269,67 @@ class TestMirskySpectrum:
         assert pred.zero_count == 0 and len(pred.root_orbits) == 3
 
 
+@st.composite
+def integer_block_cycles(draw):
+    """Block cycles with h in 2..4, classes of 1 to 4 vertices, and integer
+    or Gaussian-integer blocks U V of random rank (zero blocks included)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = draw(st.integers(2, 4))
+    sizes = draw(st.lists(st.integers(1, 4), min_size=h, max_size=h))
+    gaussian = draw(st.booleans())
+    blocks = []
+    for i in range(h):
+        rows, cols = sizes[i], sizes[(i + 1) % h]
+        rank = int(rng.integers(0, min(rows, cols) + 1))
+        u = rng.integers(-2, 3, (rows, rank)) + 1j * gaussian * rng.integers(-2, 3, (rows, rank))
+        blocks.append(u @ rng.integers(-2, 3, (rank, cols)))
+    return assemble_blocks(blocks), helpers.consecutive_partition(sizes)
+
+
 class TestStructureCheck:
+    @settings(max_examples=200)
+    @given(case=integer_block_cycles(), tol=st.sampled_from([0.0, DEFAULT_TOL]))
+    def test_singular_blocks_match_exact_ranks(self, case, tol):
+        # The classes decided from one B_i are those whose B_i has exact
+        # rank below |V_i|, and check agrees with the Mirsky zero count.
+        a, part = case
+        bc = extract_blocks(a, part)
+        exact = tuple(
+            i for i, size in enumerate(part.sizes, start=1)
+            if helpers.fraction_rank(partial_product(bc, i, part.h)) < size
+        )
+        report = nonsingular_structure_check(a, part, tol)
+        assert report.singular_blocks == exact
+        assert report.singular == (mirsky_spectrum(a, part, tol).zero_count > 0)
+        assert report.singular or report.sizes_equal
+
+    def test_float_product_decided_once_at_tol_zero(self):
+        # B_2 = A_21 A_12 has order 3 and rank 2, but round-off gives it
+        # float rank 3 at tol 0.  The nonsingular B_1 of the smaller class
+        # decides: B_2 is singular because class 2 is larger.
+        a = assemble_blocks([[[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
+                             [[0.7, 0.8], [0.9, 1.0], [1.1, 1.2]]])
+        part = helpers.consecutive_partition([2, 3])
+        assert matrix_rank(partial_product(extract_blocks(a, part), 2, 2), 0.0) == 3
+        report = nonsingular_structure_check(a, part, 0.0)
+        assert report.singular and report.singular_blocks == (2,)
+
+    def test_forms_one_cycle_product(self, monkeypatch):
+        # Sizes (2, 1, 3): only B_2 of the smallest class is formed, and
+        # its nonsingularity makes B_1 and B_3 singular.
+        products = []
+        original = hcyclic.cyclic_blocks.partial_product
+
+        def counting_product(bc, i, p):
+            products.append((i, p))
+            return original(bc, i, p)
+
+        monkeypatch.setattr(hcyclic.cyclic_blocks, "partial_product", counting_product)
+        a = assemble_blocks([np.ones((2, 1)), np.ones((1, 3)), np.ones((3, 2))])
+        report = nonsingular_structure_check(a, helpers.consecutive_partition([2, 1, 3]))
+        assert products == [(2, 3)]
+        assert report.singular_blocks == (1, 3)
+
     def test_six_example_singular(self, six):
         a, part = six
         report = nonsingular_structure_check(a, part)

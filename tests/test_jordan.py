@@ -29,6 +29,8 @@ from hcyclic import (
     zero_chains_all,
 )
 from hcyclic.digraph import _block_mask
+from hcyclic.circulant import omega_pow
+from hcyclic.jordan import _rotated
 from hcyclic.matrix_core import _threshold
 
 import helpers
@@ -209,6 +211,23 @@ class TestRotationProperties:
         assert np.max(np.abs(twice.vectors[0] - once.vectors[0])) <= 1e-12
 
 
+    @pytest.mark.parametrize("orientation", ["right", "left"])
+    def test_whole_chain_rotation_matches_per_entry_factors(self, rng, orientation):
+        # The p x n broadcast that reconstruct uses gives, bit for bit, the
+        # vector-by-vector products with the factors omega_pow(h, k, e) of
+        # the entries, e = +-(class(u) - j) mod h for vector j.
+        part = CyclicPartition(3, ((2, 5), (1,), (3, 4, 6)))
+        vectors = helpers.unit_disk((4, 6), rng)
+        sign = 1 if orientation == "right" else -1
+        for k in range(-1, 4):
+            expected = np.array([
+                vec * np.array([omega_pow(3, k, sign * (part.class_of(u) - j) % 3)
+                                for u in range(1, 7)])
+                for j, vec in enumerate(vectors, start=1)
+            ])
+            assert np.array_equal(_rotated(vectors, part, k, orientation), expected)
+
+
 class TestEmbed:
     def test_twelve_example(self, twelve):
         _, part = twelve
@@ -323,14 +342,24 @@ class TestZeroChains:
             products.append(i)
             return original_product(bc, i, p)
 
-        for module in (hcyclic.cyclic_blocks, hcyclic.jordan):
-            monkeypatch.setattr(module, "is_h_cyclic", counting)
+        monkeypatch.setattr(hcyclic.cyclic_blocks, "is_h_cyclic", counting)
         monkeypatch.setattr(hcyclic.jordan, "partial_product", counting_product)
         summary = zero_chains_all(a, part)
         assert len(summary.reports) == 9
         assert len(calls) == 1
         assert set(summary.by_class()) == {1, 2, 3}  # every class is singular
         assert products == [1, 2, 3]
+
+    def test_no_chain_where_weyr_reads_nonsingular(self, monkeypatch):
+        # det B_1 = 4e6, so weyr reads () exactly, while the float rank of
+        # B_1 at tol 1e-2 is 1.  The classes come from the Weyr weights:
+        # no B_i is formed and no chain is grown.
+        products = []
+        monkeypatch.setattr(hcyclic.jordan, "partial_product", lambda *args: products.append(args))
+        a = assemble_blocks([[[4e6, 4e6], [4e6, 4e6 + 1]], np.eye(2)])
+        summary = zero_chains_all(a, CyclicPartition(2, ((1, 2), (3, 4))), 1e-2)
+        assert summary.reports == () and summary.weyr.weights == ()
+        assert products == []
 
     def test_walk_alone_decides_the_length_at_tol_zero(self):
         # B_11 x is round-off at tol 0 while A v is exactly zero: the walk
