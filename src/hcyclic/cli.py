@@ -3,10 +3,14 @@
 Each subcommand reads matrices / partitions / chains from JSON files,
 dispatches to the library, and prints a result object on stdout.  Floats
 are rendered with 12 significant digits and dictionary key order is
-fixed, so output is byte-stable across runs.  Exit codes: 0 success,
-2 validation problem (malformed input, numbers not representable as
-finite floats, dimension or partition mismatch), 1 internal numerical
-failure (including overflow of products and powers of valid input).
+fixed, so output is byte-stable across runs.  Matrix data, chain vectors,
+seeds, orbits and references are rendered from complex arrays, one format
+call per array, and the circulants of ``circulant`` from their first row;
+the text is byte for byte that of rendering each float alone.  Exit
+codes: 0 success, 2 validation problem (malformed input, numbers not
+representable as finite floats, dimension or partition mismatch), 1
+internal numerical failure (including overflow of products and powers of
+valid input).
 
 Each call of :func:`main` runs with the cyclic garbage collector paused
 and restores the caller's collector state on the way out.  Unpaused, the
@@ -21,7 +25,6 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
-import itertools
 import json
 import math
 import sys
@@ -34,9 +37,7 @@ from .matrix_core import (
     NumericalError,
     _json_int,
     _pairs_from_json,
-    _pairs_to_json,
     matrix_from_json,
-    matrix_to_json,
 )
 from .digraph import (
     consecutive_permutation,
@@ -64,7 +65,6 @@ from .circulant import (
 )
 from .jordan import (
     chain_from_json,
-    chain_to_json,
     reconstruct_from_chains,
     rotate_left_chain,
     rotate_right_chain,
@@ -105,45 +105,47 @@ COMMAND_OPERATIONS = {
 }
 
 
-# Every float is rendered with this format, one by one or in bulk.
+# Every float is rendered with this format, one by one or, inside the
+# [re, im] pairs of complex arrays, in bulk.
 _FLOAT_FORMAT = "%.12g"
+_PAIR_FORMAT = f"[{_FLOAT_FORMAT}, {_FLOAT_FORMAT}]"
 
 
 def render_json(value) -> str:
     """Deterministic JSON text: insertion-ordered keys, floats at 12
-    significant digits."""
+    significant digits.  A complex ndarray renders as the row-major
+    ``[[re, im], ...]`` list of its entries."""
     parts: list[str] = []
     _render(value, parts)
     return "".join(parts)
 
 
-def _render_floats(items) -> str | None:
-    """JSON text of a nonempty list of exact floats, or of a list of equally
-    long nonempty lists of them (the ``[[re, im], ...]`` pair lists), made
-    by one format call; None for any other list."""
-    if not items:
-        return None
-    if type(items[0]) is float:
-        flat = items
-        template = ", ".join([_FLOAT_FORMAT] * len(items))
-    else:
-        if not set(map(type, items)) <= {list, tuple}:
-            return None
-        widths = set(map(len, items))
-        if len(widths) != 1 or 0 in widths:
-            return None
-        width = widths.pop()
-        flat = tuple(itertools.chain.from_iterable(items))
-        row = "[" + ", ".join([_FLOAT_FORMAT] * width) + "]"
-        template = ", ".join([row] * len(items))
-    if set(map(type, flat)) != {float}:
-        return None
-    text = "[" + template % tuple(flat) + "]"
+class _Circulant:
+    """Data of a square circulant held as its first row r: c_ij = r_((j-i) mod n)."""
+
+    def __init__(self, row: np.ndarray):
+        self.row = row
+
+
+def _format_pairs(a: np.ndarray, sep: str) -> str:
+    # The [re, im] pairs of the complex array a in row-major order, joined
+    # by sep, made by one format call.
+    floats = tuple(np.ascontiguousarray(a).view(np.float64).ravel().tolist())
+    text = sep.join([_PAIR_FORMAT] * (len(floats) // 2)) % floats
     # Finite floats render with digits, sign, point and exponent only;
     # an "n" comes from inf or nan.
     if "n" in text:
         raise ValueError("cannot render non-finite float")
     return text
+
+
+def _format_circulant(row: np.ndarray) -> str:
+    # Each of the n distinct pairs is formatted once; row i is the first
+    # row rotated right by i.
+    cells = _format_pairs(row, "\n").split("\n")
+    n = len(cells)
+    cells += cells
+    return "[" + ", ".join([", ".join(cells[n - i:2 * n - i]) for i in range(n)]) + "]"
 
 
 def _render(value, parts: list[str]) -> None:
@@ -170,18 +172,33 @@ def _render(value, parts: list[str]) -> None:
             _render(item, parts)
         parts.append("}")
     elif isinstance(value, (list, tuple)):
-        bulk = _render_floats(value)
-        if bulk is not None:
-            parts.append(bulk)
-            return
         parts.append("[")
         for idx, item in enumerate(value):
             if idx:
                 parts.append(", ")
             _render(item, parts)
         parts.append("]")
+    elif isinstance(value, np.ndarray) and value.dtype == complex:
+        parts.append("[" + _format_pairs(value, ", ") + "]")
+    elif isinstance(value, _Circulant):
+        parts.append(_format_circulant(value.row))
     else:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
+
+
+def _matrix_json(a: np.ndarray) -> dict:
+    # The matrix schema of matrix_to_json, with the data left as an array.
+    rows, cols = a.shape
+    return {"rows": rows, "cols": cols, "data": a}
+
+
+def _chain_json(chain) -> dict:
+    # The chain schema of chain_to_json, with the vectors left as arrays.
+    return {
+        "eigenvalue": [chain.eigenvalue.real, chain.eigenvalue.imag],
+        "orientation": chain.orientation,
+        "vectors": list(chain.vectors),
+    }
 
 
 def _load_json(path: str):
@@ -233,8 +250,8 @@ def _cmd_blocks(args) -> dict:
     return {
         "h": bc.h,
         "sizes": list(bc.sizes),
-        "blocks": [matrix_to_json(b) for b in bc.blocks],
-        "cycle_products": [matrix_to_json(b) for b in products],
+        "blocks": [_matrix_json(b) for b in bc.blocks],
+        "cycle_products": [_matrix_json(b) for b in products],
     }
 
 
@@ -242,7 +259,7 @@ def _cmd_power(args) -> dict:
     a = _load_matrix(args.matrix)
     part = partition_from_json(_load_json(args.partition))
     diag = block_diagonal_power(a, part, args.tol)
-    return {"h": part.h, "diagonal_blocks": [matrix_to_json(b) for b in diag]}
+    return {"h": part.h, "diagonal_blocks": [_matrix_json(b) for b in diag]}
 
 
 def _cmd_spectrum(args) -> dict:
@@ -251,7 +268,7 @@ def _cmd_spectrum(args) -> dict:
     pred = mirsky_spectrum(a, part, args.tol)
     return {
         "zero_count": pred.zero_count,
-        "orbits": [_pairs_to_json(orbit) for orbit in pred.root_orbits],
+        "orbits": [np.array(orbit) for orbit in pred.root_orbits],
     }
 
 
@@ -285,16 +302,17 @@ def _cmd_circulant(args) -> dict:
         )
     if args.recognize is not None:
         ref = recognize_circulant(_load_matrix(args.recognize), args.tol)
-        return {"reference": None if ref is None else _pairs_to_json(ref)}
+        return {"reference": ref}
     if args.from_reference is not None:
-        return {"matrix": matrix_to_json(circulant_from_reference(_load_vector(args.from_reference)))}
-    if args.basic is not None:
-        return {"matrix": matrix_to_json(basic_circulant(args.basic))}
-    if args.ck is not None:
-        h, k = args.ck
-        return {"matrix": matrix_to_json(c_k_matrix(h, k))}
-    h, k, ell, variant = args.w
-    return {"matrix": matrix_to_json(w_matrix(h, k, ell, variant))}
+        c = circulant_from_reference(_load_vector(args.from_reference))
+    elif args.basic is not None:
+        c = basic_circulant(args.basic)
+    elif args.ck is not None:
+        c = c_k_matrix(*args.ck)
+    else:
+        c = w_matrix(*args.w)
+    # Every matrix built here is a circulant, so its first row renders it.
+    return {"matrix": {"rows": c.shape[0], "cols": c.shape[1], "data": _Circulant(c[0])}}
 
 
 def _cmd_rotate_chain(args) -> dict:
@@ -304,7 +322,7 @@ def _cmd_rotate_chain(args) -> dict:
         rotated = rotate_right_chain(chain, part, args.k)
     else:
         rotated = rotate_left_chain(chain, part, args.k)
-    result = {"chain": chain_to_json(rotated)}
+    result = {"chain": _chain_json(rotated)}
     if args.matrix is not None:
         a = _load_matrix(args.matrix)
         result["verified"] = verify_chain(a, rotated, args.tol)
@@ -328,7 +346,7 @@ def _cmd_zero_chains(args) -> dict:
                 "class": i,
                 "lengths": [r.length for r in reps],
                 "chains": [
-                    {"seed": _pairs_to_json(r.seed), **chain_to_json(r.chain)}
+                    {"seed": r.seed, **_chain_json(r.chain)}
                     for r in reps
                 ],
             }
@@ -360,7 +378,7 @@ def _cmd_reconstruct(args) -> dict:
         rights.append(chain_from_json(entry["right"]))
         lefts.append(chain_from_json(entry["left"]))
     a = reconstruct_from_chains(rights, lefts, spectrum, part, args.tol)
-    return {"matrix": matrix_to_json(a)}
+    return {"matrix": _matrix_json(a)}
 
 
 _HANDLERS = {

@@ -156,11 +156,13 @@ def _verify_chain(am: np.ndarray, na: float, chain: JordanChain, tol: float) -> 
 def _rotated(vectors: np.ndarray, part: CyclicPartition, k: int, orientation: str) -> np.ndarray:
     # The p x n array of chain vectors rotated by w^k.  Class i of vector j
     # scales by (w^k)^e with e = (i - j) mod h for right chains and
-    # (j - i) mod h for left ones; the h factors are looked up.
+    # (j - i) mod h for left ones; the h factors are looked up.  A rotated
+    # entry near the float limit can overflow (NumericalError).
     sign = 1 if orientation == "right" else -1
     factors = np.array([omega_pow(part.h, k, e) for e in range(part.h)])
     j = np.arange(1, len(vectors) + 1)[:, None]
-    return vectors * factors[sign * (part._labels + 1 - j) % part.h]
+    rotated = vectors * factors[sign * (part._labels + 1 - j) % part.h]
+    return _finite(rotated, "rotated chain vector")
 
 
 def _rotate(chain: JordanChain, part: CyclicPartition, k: int, orientation: str) -> JordanChain:
@@ -169,7 +171,7 @@ def _rotate(chain: JordanChain, part: CyclicPartition, k: int, orientation: str)
     if chain.order != part.n:
         raise ValueError("chain vector length does not match the partition")
     return JordanChain(
-        eigenvalue=chain.eigenvalue * omega_pow(part.h, k, 1),
+        eigenvalue=_finite(chain.eigenvalue * omega_pow(part.h, k, 1), "rotated eigenvalue"),
         orientation=orientation,
         vectors=tuple(_rotated(np.array(chain.vectors), part, k, orientation)),
     )

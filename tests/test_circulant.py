@@ -203,6 +203,16 @@ class TestWMatrices:
                 assert np.max(np.abs(w_matrix(h, k, ell, 1) - ck)) <= 1e-12
                 assert np.max(np.abs(w_matrix(h, k, ell, 2) - ck)) <= 1e-12
 
+    @pytest.mark.parametrize("h", range(1, 13))
+    def test_circulant_bit_for_bit(self, h):
+        # The exponent e mod h depends on (i - j) mod h only, so every
+        # entry is its wrapped diagonal's first-row entry, signed zeros too.
+        for k in range(h + 1):
+            for ell in range(1, h + 1):
+                for variant in (1, 2):
+                    w = w_matrix(h, k, ell, variant)
+                    assert w.tobytes() == circulant_from_reference(w[0]).tobytes()
+
     def test_position_past_h_accepted(self):
         # The identity is position-independent, so any ell >= 1 works.
         ck = c_k_matrix(5, 3)

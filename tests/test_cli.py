@@ -1,5 +1,7 @@
+import contextlib
 import gc
 import hashlib
+import io
 import json
 import subprocess
 import sys
@@ -13,13 +15,18 @@ from hypothesis import strategies as st
 import hcyclic
 from hcyclic import (
     JordanChain,
+    basic_circulant,
+    c_k_matrix,
     chain_to_json,
+    circulant_from_reference,
     matrix_from_json,
     matrix_to_json,
     partition_to_json,
+    w_matrix,
 )
 from hcyclic import cli
 from hcyclic.cli import COMMAND_OPERATIONS, _HANDLERS, main, render_json
+from hcyclic.matrix_core import _pairs_to_json
 
 import helpers
 
@@ -392,6 +399,37 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "not biorthonormal" in err
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("rotate-chain", {"eigenvalue": [1.0, 0.0], "orientation": "right",
+                              "vectors": [[[1.0, 0.0], [1.5e308, 1.5e308], [0.0, 1.0]]]}),
+            ("rotate-chain", {"eigenvalue": [1.5e308, 1.5e308], "orientation": "right",
+                              "vectors": [[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]}),
+            # y_c x_c = 1/3 on every class c, but w = exp(2 pi i/3) takes
+            # 1.5e308 (1 + i) out of the float range.
+            ("reconstruct", {"orbits": [{
+                "eigenvalue": [1.0, 0.0], "length": 1,
+                "right": {"eigenvalue": [1.0, 0.0], "orientation": "right",
+                          "vectors": [[[1.0, 0.0], [1.5e308, 1.5e308], [1.0, 0.0]]]},
+                "left": {"eigenvalue": [1.0, 0.0], "orientation": "left",
+                         "vectors": [[[1 / 3, 0.0], [1 / 9e308, -1 / 9e308], [1 / 3, 0.0]]]},
+            }]}),
+        ],
+        ids=["rotated-vector", "rotated-eigenvalue", "reconstruct-rotation"],
+    )
+    def test_overflowing_rotation_is_numerical_failure(self, capsys, files, command, payload):
+        part = files["write"]("three.json", {"h": 3, "classes": [[1], [2], [3]]})
+        data = files["write"]("rotated.json", payload)
+        if command == "rotate-chain":
+            argv = [command, "--chain", data, "--partition", part, "--k", "1"]
+        else:
+            argv = [command, "--orbits", data, "--partition", part]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "overflowed" in err and "Traceback" not in err
+
     @pytest.mark.parametrize(
         "right, left",
         [((1e100, 1e-200), (0.3e-100, 0.3e200)), ((1e200, 1e-200), (0.3e-200, 0.3e200))],
@@ -610,13 +648,20 @@ class TestDeterminism:
              "8c0231fe47e7da300df4f583a87b6be613fca262871d32eb4e39c49cdbb32a31"),
             (("reconstruct", "--orbits", "orbits", "--partition", "bip_part"),
              "5f63649ff3b1265740fc87460c0a88148363493692e785a8207bc3e8f628fc5d"),
+            (("circulant", "--basic", "7"),
+             "25cc0627ff9ac5010b8732a0537d0e205c091f79ddc3830d8bbe91c3e86ba556"),
+            (("circulant", "--w", "5", "2", "3", "1"),
+             "703696d251798f98db0c80a4a8099b651ff9eda81d7155f5567a9ee0f508e75a"),
+            (("circulant", "--w", "5", "2", "3", "2"),
+             "703696d251798f98db0c80a4a8099b651ff9eda81d7155f5567a9ee0f508e75a"),
         ],
     )
     def test_golden_digest(self, capsys, files, argv_key, digest):
         # Digests of stdout recorded from the row-by-row elimination and the
-        # per-float renderer.  The zero-chains output holds 26 zeros
-        # rendered as -0, which depend on exactly which rows each pivot step
-        # updates.
+        # per-float renderer (the circulant ones from the renderer of full
+        # pair lists).  The zero-chains output holds 26 zeros rendered as
+        # -0, which depend on exactly which rows each pivot step updates.
+        # --w renders the same text as --ck: both build C_k.
         argv = [files[token] if token in files else token for token in argv_key]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
@@ -631,6 +676,10 @@ class TestDeterminism:
         for bad in ([1.0, float("nan")], [[1.0, 0.0], [float("-inf"), 0.0]]):
             with pytest.raises(ValueError, match="non-finite"):
                 render_json(bad)
+        signed = np.array([-0.0, complex(0.0, -0.0), complex(-0.0, -0.0), 1e-300 + 2j])
+        assert render_json(signed) == "[[-0, 0], [0, -0], [-0, -0], [1e-300, 2]]"
+        assert render_json(signed.reshape(2, 2).T) == "[[-0, 0], [-0, -0], [0, -0], [1e-300, 2]]"
+        assert render_json(np.zeros(0, dtype=complex)) == "[]"
 
 
 # Floats at the edges of what "%.12g" prints: signed zero, the smallest
@@ -639,7 +688,7 @@ EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, -1e-300, 1.79769313
 finite_floats = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(EDGE_FLOATS)
 )
-# Values that must keep a list off the bulk path, or make it unrenderable.
+# Values other than finite Python floats, some of them unrenderable.
 intruders = st.one_of(
     st.sampled_from([float("nan"), float("inf"), float("-inf"), True, False, None, "x"]),
     st.integers(min_value=-(10 ** 30), max_value=10 ** 30),
@@ -655,9 +704,25 @@ pair_lists = st.integers(min_value=0, max_value=3).flatmap(
 
 
 @st.composite
+def complex_arrays(draw):
+    """Complex arrays of shape (k,) or (r, c) with parts from finite_floats,
+    some of them strided slices or transposes of a larger array."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(0, 8)), st.tuples(st.integers(1, 4), st.integers(1, 4))
+    ))
+    step = draw(st.integers(1, 2))
+    full_shape = tuple(step * d for d in shape)
+    size = int(np.prod(full_shape))
+    parts = draw(st.lists(finite_floats, min_size=2 * size, max_size=2 * size))
+    full = np.array(parts, dtype=np.float64).view(complex).reshape(full_shape)
+    arr = full[(slice(None, None, step),) * len(shape)]
+    return arr.T if draw(st.booleans()) else arr
+
+
+@st.composite
 def spoiled_lists(draw):
-    """A bulk candidate with one entry replaced by an intruder or, for pair
-    lists, one row made ragged or turned into a tuple."""
+    """A float or pair list with one entry replaced by an intruder or, for
+    pair lists, one row made ragged or turned into a tuple."""
     rows = draw(pair_lists)
     if draw(st.booleans()):
         items = draw(float_lists.filter(bool))
@@ -677,7 +742,8 @@ def spoiled_lists(draw):
 
 
 render_values = st.recursive(
-    st.one_of(finite_floats, intruders, float_lists, pair_lists, spoiled_lists()),
+    st.one_of(finite_floats, intruders, float_lists, pair_lists, spoiled_lists(),
+              complex_arrays()),
     lambda children: st.one_of(
         st.lists(children, max_size=4),
         st.lists(children, max_size=4).map(tuple),
@@ -687,17 +753,87 @@ render_values = st.recursive(
 )
 
 
+def _arrays_as_pairs(value):
+    # ``value`` with each ndarray replaced by its _pairs_to_json list.
+    if isinstance(value, np.ndarray):
+        return _pairs_to_json(value)
+    if isinstance(value, dict):
+        return {key: _arrays_as_pairs(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_arrays_as_pairs(item) for item in value)
+    return value
+
+
 class TestRendererOracle:
     @settings(max_examples=400)
     @given(value=render_values)
     def test_matches_float_by_float_renderer(self, value):
         try:
-            expected = helpers.loop_render_json(value)
+            expected = helpers.loop_render_json(_arrays_as_pairs(value))
         except ValueError:
             with pytest.raises(ValueError):
                 render_json(value)
             return
         assert render_json(value) == expected
+
+    @settings(max_examples=300)
+    @given(arr=complex_arrays())
+    def test_array_matches_its_pair_list(self, arr):
+        assert render_json(arr) == helpers.loop_render_json(_pairs_to_json(arr))
+
+    @given(arr=complex_arrays().filter(lambda a: a.size > 0), data=st.data())
+    def test_non_finite_array_part_raises(self, arr, data):
+        bad = arr.copy()
+        index = data.draw(st.integers(0, bad.size - 1))
+        value = data.draw(st.sampled_from([float("nan"), float("inf"), float("-inf")]))
+        if data.draw(st.booleans()):
+            bad.reshape(-1)[index] = complex(value, bad.reshape(-1)[index].imag)
+        else:
+            bad.reshape(-1)[index] = complex(bad.reshape(-1)[index].real, value)
+        with pytest.raises(ValueError) as oracle:
+            helpers.loop_render_json(_pairs_to_json(bad))
+        with pytest.raises(ValueError) as got:
+            render_json(bad)
+        assert str(got.value) == str(oracle.value) == "cannot render non-finite float"
+
+
+@st.composite
+def circulant_commands(draw):
+    """argv tail of one ``circulant`` variant of order n in 1..40, with the
+    library matrix it must print; --from-reference takes its reference
+    from finite_floats, so also from the edge floats."""
+    n = draw(st.integers(1, 40))
+    variant = draw(st.sampled_from(["--from-reference", "--basic", "--ck", "--w"]))
+    if variant == "--from-reference":
+        parts = draw(st.lists(finite_floats, min_size=2 * n, max_size=2 * n))
+        ref = np.array(parts, dtype=np.float64).view(complex)
+        return ["--from-reference", matrix_to_json(ref[None, :])], circulant_from_reference(ref)
+    if variant == "--basic":
+        n = max(n, 2)
+        return ["--basic", str(n)], basic_circulant(n)
+    k = draw(st.integers(0, 2 * n))
+    if variant == "--ck":
+        return ["--ck", str(n), str(k)], c_k_matrix(n, k)
+    ell, kind = draw(st.integers(1, n + 2)), draw(st.sampled_from([1, 2]))
+    return ["--w", str(n), str(k), str(ell), str(kind)], w_matrix(n, k, ell, kind)
+
+
+class TestCirculantRendering:
+    @settings(max_examples=100)
+    @given(command=circulant_commands())
+    def test_matches_full_pair_list(self, tmp_path_factory, command):
+        # The circulant is rendered from its first row; the text must be
+        # that of its whole matrix rendered float by float.
+        argv, matrix = command
+        if argv[0] == "--from-reference":
+            path = tmp_path_factory.mktemp("ref") / "ref.json"
+            path.write_text(json.dumps(argv[1]))
+            argv = ["--from-reference", str(path)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["circulant", *argv]) == 0
+        expected = helpers.loop_render_json({"matrix": matrix_to_json(matrix)})
+        assert out.getvalue() == expected + "\n"
 
 
 class TestCoverage:
