@@ -36,6 +36,7 @@ from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
     _json_int,
+    _matrix_fields,
     _pairs_from_json,
     matrix_from_json,
 )
@@ -64,6 +65,7 @@ from .circulant import (
     w_matrix,
 )
 from .jordan import (
+    _chain_fields,
     chain_from_json,
     reconstruct_from_chains,
     rotate_left_chain,
@@ -186,21 +188,6 @@ def _render(value, parts: list[str]) -> None:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def _matrix_json(a: np.ndarray) -> dict:
-    # The matrix schema of matrix_to_json, with the data left as an array.
-    rows, cols = a.shape
-    return {"rows": rows, "cols": cols, "data": a}
-
-
-def _chain_json(chain) -> dict:
-    # The chain schema of chain_to_json, with the vectors left as arrays.
-    return {
-        "eigenvalue": [chain.eigenvalue.real, chain.eigenvalue.imag],
-        "orientation": chain.orientation,
-        "vectors": list(chain.vectors),
-    }
-
-
 def _load_json(path: str):
     text = Path(path).read_text()
     try:
@@ -250,8 +237,8 @@ def _cmd_blocks(args) -> dict:
     return {
         "h": bc.h,
         "sizes": list(bc.sizes),
-        "blocks": [_matrix_json(b) for b in bc.blocks],
-        "cycle_products": [_matrix_json(b) for b in products],
+        "blocks": [_matrix_fields(b) for b in bc.blocks],
+        "cycle_products": [_matrix_fields(b) for b in products],
     }
 
 
@@ -259,7 +246,7 @@ def _cmd_power(args) -> dict:
     a = _load_matrix(args.matrix)
     part = partition_from_json(_load_json(args.partition))
     diag = block_diagonal_power(a, part, args.tol)
-    return {"h": part.h, "diagonal_blocks": [_matrix_json(b) for b in diag]}
+    return {"h": part.h, "diagonal_blocks": [_matrix_fields(b) for b in diag]}
 
 
 def _cmd_spectrum(args) -> dict:
@@ -312,7 +299,7 @@ def _cmd_circulant(args) -> dict:
     else:
         c = w_matrix(*args.w)
     # Every matrix built here is a circulant, so its first row renders it.
-    return {"matrix": {"rows": c.shape[0], "cols": c.shape[1], "data": _Circulant(c[0])}}
+    return {"matrix": {**_matrix_fields(c), "data": _Circulant(c[0])}}
 
 
 def _cmd_rotate_chain(args) -> dict:
@@ -322,7 +309,7 @@ def _cmd_rotate_chain(args) -> dict:
         rotated = rotate_right_chain(chain, part, args.k)
     else:
         rotated = rotate_left_chain(chain, part, args.k)
-    result = {"chain": _chain_json(rotated)}
+    result = {"chain": _chain_fields(rotated)}
     if args.matrix is not None:
         a = _load_matrix(args.matrix)
         result["verified"] = verify_chain(a, rotated, args.tol)
@@ -346,7 +333,7 @@ def _cmd_zero_chains(args) -> dict:
                 "class": i,
                 "lengths": [r.length for r in reps],
                 "chains": [
-                    {"seed": r.seed, **_chain_json(r.chain)}
+                    {"seed": r.seed, **_chain_fields(r.chain)}
                     for r in reps
                 ],
             }
@@ -378,7 +365,7 @@ def _cmd_reconstruct(args) -> dict:
         rights.append(chain_from_json(entry["right"]))
         lefts.append(chain_from_json(entry["left"]))
     a = reconstruct_from_chains(rights, lefts, spectrum, part, args.tol)
-    return {"matrix": _matrix_json(a)}
+    return {"matrix": _matrix_fields(a)}
 
 
 _HANDLERS = {

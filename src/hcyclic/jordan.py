@@ -451,14 +451,21 @@ def reconstruct_from_chains(
     return out
 
 
+def _chain_fields(chain: JordanChain) -> dict:
+    """The layout of :func:`chain_to_json` with each vector left as a
+    complex array."""
+    ev = complex(chain.eigenvalue)
+    return {
+        "eigenvalue": [ev.real, ev.imag],
+        "orientation": chain.orientation,
+        "vectors": list(chain.vectors),
+    }
+
+
 def chain_to_json(chain: JordanChain) -> dict:
     """Serialize to ``{"eigenvalue": [re, im], "orientation": ..., "vectors":
     [[[re, im], ...], ...]}``."""
-    return {
-        "eigenvalue": _pairs_to_json(chain.eigenvalue)[0],
-        "orientation": chain.orientation,
-        "vectors": [_pairs_to_json(vec) for vec in chain.vectors],
-    }
+    return {**_chain_fields(chain), "vectors": [_pairs_to_json(vec) for vec in chain.vectors]}
 
 
 def chain_from_json(obj) -> JordanChain:

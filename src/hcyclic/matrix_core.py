@@ -22,11 +22,9 @@ The Weyr weights at zero of a Gaussian-integer A are exact: one
 elimination of [A | I] and a chain of kernels over two prime fields
 (:func:`_exact_weyr_weights`), with no power formed or ranked, and each
 nullity read in the fields proved over Q by an exact check of the lifted
-chain.  One the fields disagree on or the check refuses has, up to order
-_RATIONAL_ORDER, the ranks of its powers taken over Q by fraction-free
-elimination (:func:`_rational_weyr_weights`).  Any other A has every power
-ranked in turn, and a rank sequence whose weights increase raises
-:class:`NumericalError`.
+chain.  Any other A, or one the fields disagree on or the check refuses,
+has every power ranked in turn, and a rank sequence whose weights
+increase raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -273,7 +271,6 @@ _EXACT_ORDER = 500
 _PANEL = 32  # columns per panel of an elimination
 _MODULUS = 4244333 * 4244329
 _LIFT = math.isqrt(_MODULUS // 2)  # bound of a lifted numerator and denominator
-_RATIONAL_ORDER = 32  # largest integer form ranked over Q when the fields prove nothing
 
 
 def _reduce(x: np.ndarray) -> np.ndarray:
@@ -510,75 +507,24 @@ def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
     return tuple(w // half for w in weights)
 
 
-def _rational_rank(m: np.ndarray) -> int:
-    """Rank over Q of the integer object array ``m``, which it overwrites,
-    by fraction-free (Bareiss) elimination: after k pivots each entry is a
-    minor of order k + 1, so every division by the last pivot is exact."""
-    rank, last = 0, 1
-    for col in range(m.shape[1]):
-        nonzero = np.flatnonzero(m[rank:, col])
-        if not len(nonzero):
-            continue
-        top = rank + nonzero[0]
-        m[[rank, top]] = m[[top, rank]]
-        below = m[rank + 1:]
-        below[:, col + 1:] = (below[:, col + 1:] * m[rank, col] - below[:, col:col + 1] * m[rank, col + 1:]) // last
-        last, rank = m[rank, col], rank + 1
-        if rank == len(m):
-            break
-    return rank
-
-
-def _rational_weyr_weights(a: np.ndarray) -> tuple[int, ...]:
-    """Weyr weights at zero of the integer matrix ``a`` (float entries)
-    from the ranks over Q of its powers, in Python integers."""
-    n = len(a)
-    base = a.astype(np.int64).astype(object)
-    power, weights, nullity = base, [], 0
-    while nullity < n:
-        if weights:
-            power = power.dot(base)
-        w = n - _rational_rank(power.copy()) - nullity
-        if w <= 0:
-            break
-        weights.append(w)
-        nullity += w
-    return tuple(weights)
-
-
-def _proved_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
-    """Exact Weyr weights at zero of a Gaussian-integer ``am``: from the
-    prime fields (:func:`_exact_weyr_weights`), else, for an integer form
-    of order at most _RATIONAL_ORDER, from ranks over Q
-    (:func:`_rational_weyr_weights`); None for any other ``am``."""
-    exact = _exact_weyr_weights(am)
-    if exact is not None:
-        return exact
-    a = _integer_form(am)
-    if a is None or len(a) > _RATIONAL_ORDER:
-        return None
-    half = len(a) // am.shape[0]
-    return tuple(w // half for w in _rational_weyr_weights(a))
-
-
 def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     """Nullity steps of the powers of the square complex matrix ``am``:
     w_k = nullity(A^k) - nullity(A^(k-1)) while positive.  Their sum is
     the algebraic multiplicity of the eigenvalue zero.
 
-    A Gaussian-integer A is done exactly (:func:`_proved_weyr_weights`):
+    A Gaussian-integer A is done exactly (:func:`_exact_weyr_weights`):
     rank over GF(p) is at most rank over Q, so a field can only overstate
-    a nullity, and the weights are taken from the fields only when both
-    make every decision alike and the chain that shows them lifts to one
-    that holds over Q; else a small A has its powers ranked over Q.  Any
-    other A has its powers formed one at a time and ranked; a weight above
-    its predecessor contradicts the rank decisions and raises
+    a nullity, and the weights are taken only when both fields make every
+    decision alike and the chain that shows them lifts to one that holds
+    over Q.  Any other A, and one the fields disagree on or whose chain
+    does not lift, has its powers formed one at a time and ranked; a
+    weight above its predecessor contradicts the rank decisions and raises
     NumericalError.
     """
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")
     _threshold(tol)  # a bad tol raises also where no threshold is used
-    exact = _proved_weyr_weights(am)
+    exact = _exact_weyr_weights(am)
     if exact is not None:
         return exact
     n = am.shape[0]
@@ -602,7 +548,7 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
 def _singular(am: np.ndarray, tol: float) -> bool:
     """Whether the square ``am`` is singular: exactly for a Gaussian-integer
     matrix (as in :func:`_weyr_weights`), else by one rank at ``tol``."""
-    exact = _proved_weyr_weights(am)
+    exact = _exact_weyr_weights(am)
     return matrix_rank(am, tol) < am.shape[0] if exact is None else bool(exact)
 
 
@@ -643,12 +589,18 @@ def _json_int(value, what: str) -> int:
     return int(value)
 
 
+def _matrix_fields(am: np.ndarray) -> dict:
+    """The layout of :func:`matrix_to_json` with ``data`` left as the
+    complex matrix ``am``."""
+    rows, cols = am.shape
+    return {"rows": int(rows), "cols": int(cols), "data": am}
+
+
 def matrix_to_json(a) -> dict:
     """Serialize to ``{"rows": n, "cols": m, "data": [[re, im], ...]}`` with
     row-major ``data``."""
     am = as_complex_matrix(a)
-    rows, cols = am.shape
-    return {"rows": int(rows), "cols": int(cols), "data": _pairs_to_json(am)}
+    return {**_matrix_fields(am), "data": _pairs_to_json(am)}
 
 
 def matrix_from_json(obj) -> np.ndarray:

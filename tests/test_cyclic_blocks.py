@@ -303,25 +303,6 @@ class TestStructureCheck:
         assert report.singular == (mirsky_spectrum(a, part, tol).zero_count > 0)
         assert report.singular or report.sizes_equal
 
-    def test_product_the_fields_cannot_prove_is_ranked_over_q(self):
-        # Sizes (4, 4, 3): B_3 = A_31 A_12 A_23 has rank 2, but its kernel
-        # vector does not lift from the prime fields and its float rank at
-        # tol 0 is 3.  Ranked over Q, it is singular, and so is every B_i.
-        blocks = [
-            [[4 + 1j, 4 - 1j, -1j, -4 - 7j], [2 + 3j, 6 + 5j, 2 - 3j, 10 + 3j],
-             [3j, -2 + 6j, -2 + 1j, -6 + 6j], [2 - 5j, -5j, -4 + 3j, -8 + 5j]],
-            [[1 - 3j, -1 - 1j, -3 + 5j], [-3 - 2j, 5j, 4 + 3j],
-             [-1 - 2j, -4 + 3j, 1j], [1, -1 - 2j, -3 - 2j]],
-            [[2 + 2j, -4 + 4j, -3 + 1j, -4j], [4 + 4j, -2 - 2j, -3 - 3j, -3 - 3j],
-             [-4j, 4 - 2j, 2 + 1j, -2 + 5j]],
-        ]
-        a = assemble_blocks([np.array(b) for b in blocks])
-        part = helpers.consecutive_partition([4, 4, 3])
-        b3 = partial_product(extract_blocks(a, part), 3, 3)
-        assert helpers.fraction_rank(b3) == 2 and matrix_rank(b3, 0.0) == 3
-        for tol in (0.0, DEFAULT_TOL):
-            assert nonsingular_structure_check(a, part, tol).singular_blocks == (1, 2, 3)
-
     def test_float_product_decided_once_at_tol_zero(self):
         # B_2 = A_21 A_12 has order 3 and rank 2, but round-off gives it
         # float rank 3 at tol 0.  The nonsingular B_1 of the smaller class

@@ -423,10 +423,9 @@ class TestWeyrWeights:
         # det M = 4244331^2 - 4 = p q, with every entry below both primes:
         # M has rank 2 over both fields, with the same pivots, so the
         # fields agree on a kernel vector that is none over Q.  Its lift
-        # fails the exact check, and the powers are ranked over Q, at every
-        # tol.  (Float ranks at the default tol would not read them: the
-        # powers of M, entries near 10^13 and up, set a threshold that
-        # swallows the blocks.)
+        # fails the exact check, and the powers are ranked, which read the
+        # weights at tol 0.  (At the default tol the powers of M, entries
+        # near 10^13 and up, set a threshold that swallows the blocks.)
         m = np.array([[4244328, -1, 0], [0, 2122167, -1], [5, 0, 2]])
         assert 4244328 * 2122167 * 2 + 5 == P * Q
         k = sum(blocks)
@@ -436,55 +435,7 @@ class TestWeyrWeights:
         a[k:, k:] = m
         assert matrix_core._integer_form(a) is not None
         assert matrix_core._exact_weyr_weights(a) is None
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(matrix_core, "matrix_rank", no_rank)
-            assert _weyr_weights(a, 0.0) == _weyr_weights(a, DEFAULT_TOL) == weights
-
-    def test_chain_that_does_not_lift_is_ranked_over_q(self):
-        # A cycle product of rank 2 with entries near 400: the kernel
-        # vector of its realified form has no lift within _LIFT, so the
-        # fields prove nothing.  Of order 6, that form has its powers
-        # ranked over Q, at every tol, and no float rank is taken.
-        b = np.array([[93 + 177j, -61 - 255j, 21 - 345j],
-                      [-6 - 142j, -260 + 94j, -272 + 94j],
-                      [-100 - 182j, 41 + 351j, -57 + 421j]])
-        assert matrix_core._exact_weyr_weights(b) is None
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(matrix_core, "matrix_rank", no_rank)
-            for tol in (0.0, DEFAULT_TOL):
-                assert _weyr_weights(b, tol) == helpers.fraction_weyr_weights(b) == (1,)
-                assert matrix_core._singular(b, tol)
-
-    def test_rational_fallback_stops_at_its_order(self):
-        # Above _RATIONAL_ORDER an integer form the fields cannot prove is
-        # left to the float ranks.
-        k = matrix_core._RATIONAL_ORDER - 2
-        m = np.array([[4244328, -1, 0], [0, 2122167, -1], [5, 0, 2]])
-        a = np.zeros((k + 3, k + 3), dtype=complex)
-        a[:k, :k] = jordan_block(k, 0)
-        a[k:, k:] = m
-        assert matrix_core._exact_weyr_weights(a) is None
-        assert matrix_core._proved_weyr_weights(a[1:, 1:]) == (1,) * (k - 1)
-        assert matrix_core._proved_weyr_weights(a) is None
-
-    @settings(max_examples=60)
-    @given(a=small_gaussian_integer_matrices())
-    def test_rational_weights_match_fractions(self, a):
-        form = matrix_core._integer_form(a)
-        half = len(form) // len(a)
-        weights = matrix_core._rational_weyr_weights(form)
-        assert tuple(w // half for w in weights) == helpers.fraction_weyr_weights(a)
-
-    @settings(max_examples=60)
-    @given(seed=st.integers(0, 2**32 - 1), rows=st.integers(1, 8), cols=st.integers(1, 8),
-           scale=st.sampled_from([1, 1000, P]))
-    def test_rational_rank_matches_fractions(self, seed, rows, cols, scale):
-        # Planted rank, with entries up to about 10^13 when scaled by P.
-        rng = np.random.default_rng(seed)
-        rank = int(rng.integers(0, min(rows, cols) + 1))
-        m = rng.integers(-3, 4, (rows, rank)) @ (scale * rng.integers(-3, 4, (rank, cols)))
-        got = matrix_core._rational_rank(m.astype(np.int64).astype(object))
-        assert got == helpers.fraction_rank(m.astype(complex))
+        assert _weyr_weights(a, 0.0) == weights
 
     @pytest.mark.parametrize("prime", [P, Q])
     def test_multiple_of_a_prime(self, prime):
