@@ -107,7 +107,8 @@ def verify_chain(a, chain: JordanChain, tol: float = DEFAULT_TOL) -> bool:
     Right chains must satisfy A x_j = lam x_j + x_{j-1} and the redundant
     closed form x_k = (A - lam I)^(p-k) x_p; left chains the transposed
     versions.  Residuals are measured against
-    ``tol * max(1, ||A||_inf) * max(1, max_j ||x_j||_inf)``.
+    ``tol * max(1, ||A||_inf) * max(1, max_j ||x_j||_inf)``; a residual
+    that overflows raises NumericalError.
     """
     am = as_complex_matrix(a)
     if am.shape[0] != am.shape[1]:
@@ -133,7 +134,8 @@ def _verify_chain(am: np.ndarray, na: float, chain: JordanChain, tol: float) -> 
     thr = _threshold(tol, na, max(norm_inf(v) for v in vecs))
     for j in range(p):
         coupled = vecs[j - 1] if j > 0 else 0.0
-        if norm_inf(op @ vecs[j] - lam * vecs[j] - coupled) > thr:
+        residual = _finite(op @ vecs[j] - lam * vecs[j] - coupled, "chain residual")
+        if norm_inf(residual) > thr:
             return False
 
     # Independence is judged on unit vectors, so vectors of very different
@@ -147,7 +149,7 @@ def _verify_chain(am: np.ndarray, na: float, chain: JordanChain, tol: float) -> 
     z = vecs[p - 1]
     for k in range(p, 0, -1):
         step_thr = _threshold(tol, na + abs(lam), norm_inf(vecs[p - 1]), power=p - k)
-        if norm_inf(z - vecs[k - 1]) > step_thr:
+        if norm_inf(_finite(z - vecs[k - 1], "power-form residual")) > step_thr:
             return False
         z = shifted @ z
     return True
@@ -249,7 +251,7 @@ def _zero_chain(am: np.ndarray, na: float, part: CyclicPartition, i: int,
     # is its cycle product B_i.  A seed outside the kernel is bad input,
     # or, for a basis vector that null_space returned, a NumericalError
     # (``not_kernel``).
-    if norm_inf(b_i @ xv) > _threshold(tol, norm_inf(b_i), norm_inf(xv)):
+    if norm_inf(_finite(b_i @ xv, f"B_{i} x")) > _threshold(tol, norm_inf(b_i), norm_inf(xv)):
         raise not_kernel(f"seed vector is not in the kernel of cycle product B_{i}")
 
     v = embed_null_vector(xv, i, part)

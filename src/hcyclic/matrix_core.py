@@ -14,9 +14,9 @@ leaves them, signed zeros included; the pivot columns hold zeros of either
 sign that no caller reads.  The kernel basis is returned in reduced-echelon
 "free variable" form, so for matrices with simple rational structure the
 basis vectors have the exact rational entries one would compute by hand,
-not an orthonormalized recombination of them.  The rank runs the forward
-half of the same elimination, with the same pivot decisions, and updates
-only the trailing block and the pivot column.
+not an orthonormalized recombination of them.  A rank is the pivot count
+of the same row reduction, run forward only.  A threshold whose scale
+overflowed raises :class:`NumericalError`.
 
 The Weyr weights at zero of a Gaussian-integer A are exact: one
 elimination of [A | I] and a chain of kernels over two prime fields
@@ -163,12 +163,18 @@ def submatrix(a, rows, cols) -> np.ndarray:
     return am[np.ix_(r0, c0)]
 
 
-def _rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
+def _rref(a: np.ndarray, thr: float, reduced: bool = True) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form with partial pivoting.
 
-    Pivots whose modulus is <= ``thr`` are treated as zero.  Returns the
-    reduced matrix and the list of pivot column indices (0-based).
+    Pivots whose modulus is <= ``thr`` are treated as zero; an infinite
+    ``thr`` (an overflowed scale) raises NumericalError.  Returns the
+    reduced matrix and the list of pivot column indices (0-based).  With
+    ``reduced=False`` each pivot updates only the rows below it (forward
+    elimination): those rows, the only ones a pivot search reads, take the
+    same updates element for element, so the pivots are the same.
     """
+    if thr == math.inf:
+        raise NumericalError("the pivot threshold overflowed the floating-point range")
     r = np.array(a, dtype=complex)
     m, n = r.shape
     pivots: list[int] = []
@@ -187,7 +193,8 @@ def _rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
         lo = min(first, col)
         r[row, lo:] /= r[row, col]
         r[row, col] = 1.0
-        others = np.flatnonzero(r[:, col])
+        top = 0 if reduced else row + 1
+        others = top + np.flatnonzero(r[top:, col])
         others = others[others != row]
         r[others, lo:] -= np.multiply.outer(r[others, col], r[row, lo:])
         r[others, col] = 0.0
@@ -196,44 +203,11 @@ def _rref(a: np.ndarray, thr: float) -> tuple[np.ndarray, list[int]]:
     return r, pivots
 
 
-def _rank(a: np.ndarray, thr: float) -> int:
-    """``len(_rref(a, thr)[1])`` by forward elimination alone.
-
-    A pivot search reads only the rows at or below the current row, and
-    those rows get the updates of :func:`_rref` element for element: the
-    rows with a nonzero multiplier, minus the multiplier times the pivot
-    row divided by the pivot.  So every pivot is the same decision, and
-    only the trailing block and the pivot column are updated.  The pivot
-    column is not read again; it is there so that no update is a single
-    element, which numpy multiplies without the fused multiply-add of its
-    vector loops, and so rounds unlike :func:`_rref` (seen at tol 0).
-    """
-    r = np.array(a, dtype=complex)
-    m, n = r.shape
-    row = 0
-    for col in range(n):
-        if row == m:
-            break
-        p = row + int(np.abs(r[row:, col]).argmax())
-        pivot = r[p, col]
-        if abs(pivot) <= thr:
-            continue
-        if p != row:
-            swap = r[p, col:].copy()
-            r[p, col:] = r[row, col:]
-            r[row, col:] = swap
-        below = row + 1 + r[row + 1:, col].nonzero()[0]
-        row += 1
-        if len(below):
-            r[below, col:] -= np.multiply.outer(r[below, col], r[row - 1, col:] / pivot)
-    return row
-
-
 def matrix_rank(a, tol: float = DEFAULT_TOL) -> int:
     """Numerical rank from row reduction with pivot threshold
     ``tol * max(1, norm_inf(a))``."""
     am = as_complex_matrix(a)
-    return _rank(am, _threshold(tol, norm_inf(am)))
+    return len(_rref(am, _threshold(tol, norm_inf(am)), reduced=False)[1])
 
 
 def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:

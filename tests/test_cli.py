@@ -364,6 +364,32 @@ class TestExitCodes:
         assert json.loads(out) == {"classes": [], "weyr": [], "zero_block_sizes": [],
                                    "cross_class_redundancy": False}
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_rank_scale_is_numerical_failure(self, capsys, files):
+        # Nonsingular; its row sums 3e308 make the pivot threshold inf,
+        # which would read every pivot as zero.  At tol 0 there is no scale.
+        huge = [[1.5e308, 1.5e308], [1.5e308, -1.5e308]]
+        argv = ["weyr", "--matrix", files["write"]("huge.json", matrix_to_json(np.array(huge)))]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "overflowed" in err and "Traceback" not in err
+        code, out, _ = run_cli(capsys, argv + ["--tol", "0"])
+        assert (code, out) == (0, '{"weyr": []}\n')
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_chain_residual_is_numerical_failure(self, capsys, files):
+        # [1e200, 2e200] is no eigenvector of the swap times 1e200, but
+        # its residual inf - inf = nan passed every threshold.
+        chain = {"eigenvalue": [1e200, 0.0], "orientation": "right",
+                 "vectors": [[[1e200, 0.0], [2e200, 0.0]]]}
+        huge = matrix_to_json(np.array([[0, 1e200], [1e200, 0]]))
+        argv = ["rotate-chain", "--chain", files["write"]("chain.json", chain),
+                "--partition", files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]}),
+                "--k", "0", "--matrix", files["write"]("huge.json", huge)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "overflowed" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", [[], ["--tol", "0"]])
     def test_weyr_of_long_block_beside_large_eigenvalue(self, capsys, files, tol):
         # J_64 + 1000 I_64: the float ranks at the default tol read the

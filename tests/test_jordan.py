@@ -122,6 +122,15 @@ class TestVerifyChain:
         # Swapping the left vectors breaks the recursion order.
         assert not verify_chain(a, JordanChain(lam, "left", (sinv[1], sinv[0])), tol=1e-7)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_residual_raises(self):
+        # A x and lam x are both inf, so the residual is inf - inf = nan,
+        # which no threshold comparison rejects; x is no eigenvector.
+        a = np.array([[0, 1e200], [1e200, 0]])
+        chain = JordanChain(1e200, "right", (np.array([1e200, 2e200]),))
+        with pytest.raises(NumericalError, match="chain residual overflowed"):
+            verify_chain(a, chain)
+
 
 class TestRotateRight:
     def test_k_zero_is_identity(self, six):
@@ -282,6 +291,16 @@ class TestZeroChains:
             zero_chains_all(a, part, tol=0.0)
         with pytest.raises(ValueError, match="not in the kernel of cycle product B_1"):
             zero_chain_from_null_vector(a, part, 1, np.array([-1 / 49, 1]), tol=0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_seed_test_raises(self):
+        # B_1 = [[1e300, -1e300], [1e300, -1e300]]: B_1 x is inf - inf = nan
+        # for the kernel vector x = (1e10, 1e10).
+        a = np.zeros((3, 3))
+        a[:2, 2], a[2, :2] = 1, [1e300, -1e300]
+        part = CyclicPartition(2, ((1, 2), (3,)))
+        with pytest.raises(NumericalError, match="B_1 x overflowed"):
+            zero_chain_from_null_vector(a, part, 1, np.array([1e10, 1e10]))
 
     def test_zero_seed_rejected(self, twelve):
         a, part = twelve

@@ -19,7 +19,7 @@ from hcyclic import (
     submatrix,
 )
 from hcyclic import matrix_core
-from hcyclic.matrix_core import _pairs_from_json, _rank, _rref, _threshold, _weyr_weights
+from hcyclic.matrix_core import _pairs_from_json, _rref, _threshold, _weyr_weights
 
 import helpers
 
@@ -237,11 +237,13 @@ class TestRref:
     def test_matches_row_loop(self, seed, kind, m, n):
         # Same pivots and bit for bit the same free columns, signed zeros
         # included: null_space copies the free columns into the kernel
-        # basis, whose zeros the CLI renders as 0 or -0.
+        # basis, whose zeros the CLI renders as 0 or -0.  The forward pass
+        # that matrix_rank counts finds the same pivots.
         a, thr = rref_input(np.random.default_rng(seed), kind, m, n)
         got, pivots = _rref(a, thr)
         want, loop_pivots = helpers.loop_rref(a, thr)
         assert pivots == loop_pivots
+        assert _rref(a, thr, reduced=False)[1] == loop_pivots
         free = [c for c in range(n) if c not in pivots]
         assert got[:, free].tobytes() == want[:, free].tobytes()
 
@@ -261,7 +263,7 @@ class TestRref:
     def test_rank_counts_rref_pivots(self, seed, kind, m, n, zero_tol):
         a, thr = rref_input(np.random.default_rng(seed), kind, m, n)
         thr = 0.0 if zero_tol else thr
-        assert _rank(a, thr) == len(_rref(a, thr)[1])
+        assert _rref(a, thr, reduced=False)[1] == _rref(a, thr)[1]
 
     def test_rank_rounds_the_last_update_as_rref(self):
         # The last pivot column of this rank-5 product leaves one row below
@@ -269,14 +271,26 @@ class TestRref:
         # without fused multiply-add, and at tol 0 its round-off read as a
         # sixth pivot.
         a, _ = rref_input(np.random.default_rng(90383), "product", 6, 6)
-        assert _rank(a, 0.0) == len(_rref(a, 0.0)[1]) == 5
+        assert _rref(a, 0.0, reduced=False)[1] == _rref(a, 0.0)[1]
+        assert matrix_rank(a, 0.0) == 5
 
     def test_rank_after_overflow_leaves_zero_multiplier_rows(self):
         # The pivot row divided by 1e-300 overflows; the zero second row
         # must stay zero (0 * inf would make it nan, counted as a pivot).
         a = np.array([[1e-300, 1e10], [0.0, 0.0]], dtype=complex)
         with np.errstate(over="ignore"):
-            assert _rank(a, 0.0) == len(_rref(a, 0.0)[1]) == 1
+            assert _rref(a, 0.0, reduced=False)[1] == _rref(a, 0.0)[1] == [0]
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_scale_raises(self):
+        # Nonsingular, but its row sums 3e308 overflow, so tol * ||A||_inf
+        # is inf and would read every pivot as zero.
+        a = np.array([[1.5e308, 1.5e308], [1.5e308, -1.5e308]])
+        with pytest.raises(NumericalError, match="pivot threshold overflowed"):
+            matrix_rank(a)
+        with pytest.raises(NumericalError, match="pivot threshold overflowed"):
+            null_space(a, 1e-12)
+        assert matrix_rank(a, 0.0) == null_space(a, 0.0)[0] == 2
 
 
 # The primes of the exact Weyr path.
