@@ -22,11 +22,9 @@ The Weyr weights at zero of a Gaussian-integer A are exact: one
 elimination of [A | I] and a chain of kernels over two prime fields
 (:func:`_exact_weyr_weights`), with no power formed or ranked, and each
 nullity read in the fields proved over Q by an exact check of the lifted
-chain, or, where that fails on a small matrix, by rerunning the chain in
-as many fields as the Hadamard bound of its minors asks for.  Any other A,
-or one the fields disagree on or neither proof takes, has every power
-ranked in turn, and a rank sequence whose weights increase raises
-:class:`NumericalError`.
+chain.  Any other A, or one the fields disagree on or the check refuses,
+has every power ranked in turn, and a rank sequence whose weights
+increase raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -239,21 +237,10 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
     return len(pivots), basis
 
 
-# Primes p between 2^22 and 4244333, so 500 p^2 < 2^53: a matrix product of
-# residues below p over at most _EXACT_ORDER terms is exact in float64.  The
-# first two are the fields of every exact Weyr chain; the rest prove ranks
-# by the Hadamard bound (:func:`_proving_fields`).
-_FIELD_PRIMES = np.array([
-    4244333, 4244329, 4244311, 4244299, 4244221, 4244183, 4244161, 4244153,
-    4244137, 4244129, 4244099, 4244083, 4244069, 4244059, 4244027, 4244021,
-    4244017, 4244003, 4243997, 4243991, 4243979, 4243969, 4243961, 4243957,
-    4243949, 4243933, 4243927, 4243903, 4243879, 4243861, 4243823, 4243819,
-], dtype=float)[:, None, None]
-_PRIMES = _FIELD_PRIMES[:2]
-_INVERSE = np.nextafter(1.0 / _FIELD_PRIMES, np.inf)  # 1/p rounded up
-# Most fields times order for a chain rerun in the fields of the Hadamard
-# bound: there the rerun costs at most about twice the two-field chain.
-_FIELD_WORK = 256
+# Two primes p with 500 p^2 < 2^53: a matrix product of residues below p
+# over at most _EXACT_ORDER terms is exact in float64.
+_PRIMES = np.array([4244333.0, 4244329.0])[:, None, None]
+_INVERSE = np.nextafter(1.0 / _PRIMES, np.inf)  # 1/p rounded up
 _EXACT_ORDER = 500
 _PANEL = 32  # columns per panel of an elimination
 _MODULUS = 4244333 * 4244329
@@ -267,10 +254,10 @@ def _reduce(x: np.ndarray) -> np.ndarray:
     integer.  It costs a fraction of ``np.mod`` on large arrays.  For |x|
     <= 500 p^2 the quotient may be one off, leaving [-p, 2p):
     ``_reduce(_reduce(x) + p)``.  The fields are the first ``len(x)``
-    primes of ``_FIELD_PRIMES``."""
+    primes."""
     quotient = x * _INVERSE[:len(x)]
     np.floor(quotient, out=quotient)
-    quotient *= _FIELD_PRIMES[:len(x)]
+    quotient *= _PRIMES[:len(x)]
     x -= quotient
     return x
 
@@ -303,10 +290,10 @@ def _integer_form(am: np.ndarray) -> np.ndarray | None:
 
 
 def _eliminate(m: np.ndarray, ncols: int, every: bool = False) -> list[int] | None:
-    """Gauss-Jordan elimination of each ``m[f]`` modulo the prime
-    ``_FIELD_PRIMES[f]``, in place, with pivots in the first ``ncols``
-    columns: the k-th pivot row is scaled to 1, its column cleared in every
-    other row, and it is moved to row k.  Returns the pivot columns, or None when the fields disagree
+    """Gauss-Jordan elimination of each ``m[f]`` modulo the f-th prime, in
+    place, with pivots in the first ``ncols`` columns: the k-th pivot row
+    is scaled to 1, its column cleared in every other row, and it is moved
+    to row k.  Returns the pivot columns, or None when the fields disagree
     (a column holds a pivot in one field and not in another, or in no row
     that all can pivot on) or, with ``every``, at the first column without
     a pivot.
@@ -319,7 +306,7 @@ def _eliminate(m: np.ndarray, ncols: int, every: bool = False) -> list[int] | No
     per panel in place of one row update per pivot.
     """
     fields, rows, _ = m.shape
-    primes = _FIELD_PRIMES[:fields]
+    primes = _PRIMES[:fields]
     pivots: list[int] = []
     for start in range(0, ncols, _PANEL):
         stop = min(start + _PANEL, ncols)
@@ -421,57 +408,37 @@ def _certified(a: np.ndarray, chain: np.ndarray, image: np.ndarray) -> bool:
     return np.array_equal(left, g @ v)
 
 
-def _proving_fields(a: np.ndarray, weights: tuple[int, ...]) -> int:
-    """How many primes of ``_FIELD_PRIMES`` prove over Q the ranks that
-    ``weights``, the Weyr weights of the integer matrix ``a`` in those
-    fields, give its powers a^k, up to the first power past the last
-    weight.
+def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
+    """Weyr weights at zero of a Gaussian-integer ``am``, proved exact, or
+    None when :func:`_integer_form` declines ``am``, the two prime fields
+    disagree (:func:`_eliminate`), or the proof fails.
 
-    A field can only understate a rank.  If every field gives a^k rank r,
-    each (r+1)-minor of a^k is a multiple of the product P of the primes;
-    when P exceeds a bound on its modulus it is 0, and the rank over Q is
-    r.  Row i of a^k has norm at most |row i of a| S^(k-1), with S =
-    sqrt(|a|_1 |a|_inf) >= |a|_2, and likewise its columns, so Hadamard's
-    inequality bounds the minor by the product of the r+1 largest of
-    these.  Every prime exceeds 2^22, so f fields with 22 f above the
-    largest log2 bound have P above every bound.
+    Rank n over GF(p) proves B (the integer form) nonsingular, and one
+    elimination of B alone in one field finds it.  Otherwise, with K_k =
+    ker B^k and R = range B, ker B^(k+1) is the preimage of K_k, so
+    w_(k+1) = dim(K_k & R) - dim(K_(k-1) & R).  One elimination of [B | I]
+    gives [E | T] with T B = E reduced: the kernel basis of B, the rows N =
+    T[r:] with y in R iff N y = 0, and the solution x[pivots] = T[:r] y of
+    B x = y.  The chain carries the frontier, w_k vectors that extend
+    K_(k-1) to K_k, and an echelon basis of N K_(k-1) with the vectors of
+    K_(k-1) it comes from, written over the chain.  Reducing N times the
+    frontier against that basis leaves w_(k+1) combinations in R; their
+    solutions are the next frontier, and the combinations their images.
+
+    Rank over GF(p) is at most rank over Q, so a field can only overstate
+    a nullity; :func:`_certified` proves each one over Q.
     """
-    n = a.shape[0]
-    absolute = np.abs(a)
-    spectral = math.log2(max(1.0, absolute.sum(axis=0).max() * absolute.sum(axis=1).max())) / 2
-    # Norms below 1 (zero rows) are taken as 1, which keeps each an upper bound.
-    largest = [np.cumsum(np.sort(np.log2(np.maximum(np.linalg.norm(a, axis=axis), 1.0)))[::-1])
-               for axis in (0, 1)]
-    bits, rank = 0.0, n
-    for k, w in enumerate((*weights, 0), start=1):
-        rank -= w  # below n: the first weight is positive
-        bits = max(bits, min(largest[0][rank], largest[1][rank]) + (rank + 1) * (k - 1) * spectral)
-    return int(bits / 22 + 1e-6) + 1
-
-
-def _field_chain(a: np.ndarray, fields: int) -> tuple[tuple[int, ...], np.ndarray, np.ndarray] | None:
-    """The Weyr weights at zero of the integer matrix ``a`` in the first
-    ``fields`` primes, with the rows x_j of the kernel chain that shows
-    them and their images (:func:`_certified`), or None when the fields
-    disagree (:func:`_eliminate`).
-
-    With K_k = ker B^k and R = range B, ker B^(k+1) is the preimage of
-    K_k, so w_(k+1) = dim(K_k & R) - dim(K_(k-1) & R).  One elimination of
-    [B | I] gives [E | T] with T B = E reduced: the kernel basis of B, the
-    rows N = T[r:] with y in R iff N y = 0, and the solution x[pivots] =
-    T[:r] y of B x = y.  The chain carries the frontier, w_k vectors that
-    extend K_(k-1) to K_k, and an echelon basis of N K_(k-1) with the
-    vectors of K_(k-1) it comes from, written over the chain.  Reducing N
-    times the frontier against that basis leaves w_(k+1) combinations in
-    R; their solutions are the next frontier, and the combinations their
-    images.
-    """
-    n = a.shape[0]
-    primes = _FIELD_PRIMES[:fields]
+    a = _integer_form(am)
+    if a is None:
+        return None
+    n, half = a.shape[0], a.shape[0] // am.shape[0]
+    fields = len(_PRIMES)
     m = np.zeros((fields, n, 2 * n))  # [B | I] modulo each prime
     m[:, :, :n] = a
-    m[:, :, :n] += 2 * primes  # positive: |a| < q < 2p in every field
+    m[:, :, :n] += _PRIMES
     _reduce(m[:, :, :n])
+    if _eliminate(m[:1, :, :n].copy(), n, every=True) is not None:
+        return ()
     m[:, np.arange(n), n + np.arange(n)] = 1.0
     pivots = _eliminate(m, n)
     if pivots is None:
@@ -481,7 +448,7 @@ def _field_chain(a: np.ndarray, fields: int) -> tuple[tuple[int, ...], np.ndarra
     solve = np.zeros((fields, n, n))  # row y to row x
     solve[:, :, pivots] = m[:, :r, n:].transpose(0, 2, 1)
     left = m[:, r:, n:].transpose(0, 2, 1).copy()  # row y to row N y
-    kernel = np.mod(-m[:, :r, free].transpose(0, 2, 1), primes)
+    kernel = np.mod(-m[:, :r, free].transpose(0, 2, 1), _PRIMES)
     del m
     chain = np.zeros((fields, n, n))  # rows x_j, level by level, from the kernel basis on
     chain[:, np.arange(d), free] = 1.0
@@ -493,56 +460,24 @@ def _field_chain(a: np.ndarray, fields: int) -> tuple[tuple[int, ...], np.ndarra
     while w:
         weights.append(w)
         work = np.zeros((fields, w, d + n))  # rows [N x, x over the chain] of the frontier
-        work[:, :, :d] = np.mod(chain[:, size:size + w] @ left, primes)
+        work[:, :, :d] = np.mod(chain[:, size:size + w] @ left, _PRIMES)
         work[:, np.arange(w), d + size + np.arange(w)] = 1.0
         size += w
-        work = np.mod(work - work[:, :, held] @ basis, primes)
+        work = np.mod(work - work[:, :, held] @ basis, _PRIMES)
         new = _eliminate(work, d)
         if new is None:
             return None
         c = len(new)
         if c:
-            basis = np.mod(basis - basis[:, :, new] @ work[:, :c], primes)
+            basis = np.mod(basis - basis[:, :, new] @ work[:, :c], _PRIMES)
             basis, held = np.concatenate([basis, work[:, :c]], axis=1), held + new
         w = work.shape[1] - c
         image[:, size:size + w] = work[:, c:, d:]
-        y = np.mod(work[:, c:, d:d + size] @ chain[:, :size], primes)
-        chain[:, size:size + w] = np.mod(y @ solve, primes)
-    return tuple(weights), chain[:, :size], image[:, :size, :size]
-
-
-def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
-    """Weyr weights at zero of a Gaussian-integer ``am``, proved exact, or
-    None when :func:`_integer_form` declines ``am``, the prime fields
-    disagree (:func:`_eliminate`), or the proof fails.
-
-    Rank n over GF(p) proves B (the integer form) nonsingular, and one
-    elimination of B alone in one field finds it.  Otherwise the weights
-    are read in two fields (:func:`_field_chain`).  Rank over GF(p) is at
-    most rank over Q, so a field can only overstate a nullity.  The two
-    fields prove the weights when they are all the fields that
-    :func:`_proving_fields` asks for; else :func:`_certified` proves each
-    nullity from the lifted chain.  When that fails and the fields asked
-    for cost at most ``_FIELD_WORK``, the chain is rerun in all of them
-    and must give the same weights.
-    """
-    a = _integer_form(am)
-    if a is None:
+        y = np.mod(work[:, c:, d:d + size] @ chain[:, :size], _PRIMES)
+        chain[:, size:size + w] = np.mod(y @ solve, _PRIMES)
+    del solve, left, basis
+    if not _certified(a, chain[:, :size], image[:, :size, :size]):
         return None
-    n, half = a.shape[0], a.shape[0] // am.shape[0]
-    if _eliminate(_reduce(a + 2 * _PRIMES[:1]), n, every=True) is not None:
-        return ()
-    found = _field_chain(a, len(_PRIMES))
-    if found is None:
-        return None
-    weights, chain, image = found
-    fields = _proving_fields(a, weights)
-    if fields > len(_PRIMES) and not _certified(a, chain, image):
-        if fields > len(_FIELD_PRIMES) or fields * n > _FIELD_WORK:
-            return None
-        found = _field_chain(a, fields)
-        if found is None or found[0] != weights:
-            return None
     return tuple(w // half for w in weights)
 
 
@@ -553,12 +488,12 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
 
     A Gaussian-integer A is done exactly (:func:`_exact_weyr_weights`):
     rank over GF(p) is at most rank over Q, so a field can only overstate
-    a nullity, and the weights are taken only when the fields make every
+    a nullity, and the weights are taken only when both fields make every
     decision alike and the chain that shows them lifts to one that holds
-    over Q, or enough fields for the Hadamard bound give them.  Any other
-    A, and one that no proof takes, has its powers formed one at a time
-    and ranked; a weight above its predecessor contradicts the rank
-    decisions and raises NumericalError.
+    over Q.  Any other A, and one the fields disagree on or whose chain
+    does not lift, has its powers formed one at a time and ranked; a
+    weight above its predecessor contradicts the rank decisions and raises
+    NumericalError.
     """
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")

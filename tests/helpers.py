@@ -93,16 +93,6 @@ def inexact_kernel_matrix() -> np.ndarray:
 INEXACT_KERNEL_PARTITION = CyclicPartition(2, ((1, 2), (3, 4)))
 
 
-def unliftable_gaussian_matrix() -> np.ndarray:
-    """Gaussian-integer matrix of order 3 and rank 2 over Q(i), parts up to
-    365, from a cycle product of a random 3-cyclic matrix.  Its kernel
-    chain over the two primes of the exact path does not lift to small
-    rationals, and its float rank at tol 0 reads 3 from round-off."""
-    return np.array([[-329 - 365j, -264 - 174j, 149 + 217j],
-                     [44 + 62j, 52 - 8j, -14 - 24j],
-                     [241j, -15 + 175j, 24 - 145j]])
-
-
 def unit_disk(shape, rng) -> np.ndarray:
     """Complex samples uniform on the unit disk."""
     radius = np.sqrt(rng.uniform(0.0, 1.0, shape))

@@ -314,17 +314,6 @@ class TestStructureCheck:
         report = nonsingular_structure_check(a, part, 0.0)
         assert report.singular and report.singular_blocks == (2,)
 
-    def test_singular_product_beyond_the_lift_at_tol_zero(self):
-        # B_1 = B_2 = B has rank 2 over Q(i), float rank 3 at tol 0, and a
-        # kernel chain that does not lift; the exact path proves it
-        # singular in the fields of its Hadamard bound.
-        b = helpers.unliftable_gaussian_matrix()
-        a = assemble_blocks([b, np.eye(3)])
-        part = helpers.consecutive_partition([3, 3])
-        report = nonsingular_structure_check(a, part, 0.0)
-        assert report.singular_blocks == (1, 2)
-        assert mirsky_spectrum(a, part, 0.0).zero_count == 2
-
     def test_forms_one_cycle_product(self, monkeypatch):
         # Sizes (2, 1, 3): only B_2 of the smallest class is formed, and
         # its nonsingularity makes B_1 and B_3 singular.

@@ -437,9 +437,8 @@ class TestWeyrWeights:
         # det M = 4244331^2 - 4 = p q, with every entry below both primes:
         # M has rank 2 over both fields, with the same pivots, so the
         # fields agree on a kernel vector that is none over Q.  Its lift
-        # fails the exact check, and M has rank 3 in the third field that
-        # the Hadamard bound asks for, so the fields disagree and the powers
-        # are ranked, which read the weights at tol 0.  (At the default tol the powers of M, entries
+        # fails the exact check, and the powers are ranked, which read the
+        # weights at tol 0.  (At the default tol the powers of M, entries
         # near 10^13 and up, set a threshold that swallows the blocks.)
         m = np.array([[4244328, -1, 0], [0, 2122167, -1], [5, 0, 2]])
         assert 4244328 * 2122167 * 2 + 5 == P * Q
@@ -451,52 +450,6 @@ class TestWeyrWeights:
         assert matrix_core._integer_form(a) is not None
         assert matrix_core._exact_weyr_weights(a) is None
         assert _weyr_weights(a, 0.0) == weights
-
-    def test_field_primes(self):
-        # Descending primes above 2^22 with 500 p^2 < 2^53, the exact
-        # path's pair first.
-        primes = matrix_core._FIELD_PRIMES.ravel().astype(int).tolist()
-        assert primes[:2] == [P, Q] and primes == sorted(primes, reverse=True)
-        assert all(2**22 < p and 500 * p * p < 2**53 for p in primes)
-        assert all(all(p % d for d in range(2, math.isqrt(p) + 1)) for p in primes)
-
-    def test_hadamard_fields_prove_what_the_lift_cannot(self):
-        # The chain in two fields does not lift, and the Hadamard bound asks
-        # for more than two fields: the chain is rerun in all of them, which
-        # proves the weights with no power ranked.  Below that cost the
-        # rerun is not made.
-        b = helpers.unliftable_gaussian_matrix()
-        a = matrix_core._integer_form(b)
-        weights, chain, image = matrix_core._field_chain(a, 2)
-        fields = matrix_core._proving_fields(a, weights)
-        assert 2 < fields and fields * len(a) <= matrix_core._FIELD_WORK
-        assert not matrix_core._certified(a, chain, image)
-        assert matrix_rank(b, 0.0) == 3
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(matrix_core, "matrix_rank", no_rank)
-            for tol in (0.0, DEFAULT_TOL):
-                assert _weyr_weights(b, tol) == helpers.fraction_weyr_weights(b) == (1,)
-            patch.setattr(matrix_core, "_FIELD_WORK", fields * len(a) - 1)
-            assert matrix_core._exact_weyr_weights(b) is None
-
-    @settings(max_examples=100)
-    @given(
-        seed=st.integers(0, 2**32 - 1),
-        n=st.integers(1, 5),
-        rank=st.integers(0, 5),
-        scale=st.sampled_from([3, 300, 900]),
-        gaussian=st.booleans(),
-    )
-    def test_weights_with_large_minors_match_exact_ranks(self, seed, n, rank, scale, gaussian):
-        # Low-rank products with parts up to 5 scale^2 < p, whose minors
-        # often outgrow the lift: the weights that the exact path returns,
-        # from the lift or from the fields of the Hadamard bound, are the
-        # exact ones.
-        rng = np.random.default_rng(seed)
-        k = min(rank, n)
-        u = rng.integers(-scale, scale + 1, (n, k)) + 1j * gaussian * rng.integers(-scale, scale + 1, (n, k))
-        a = u @ rng.integers(-scale, scale + 1, (k, n))
-        assert matrix_core._exact_weyr_weights(a) in (None, helpers.fraction_weyr_weights(a))
 
     @pytest.mark.parametrize("prime", [P, Q])
     def test_multiple_of_a_prime(self, prime):
