@@ -46,7 +46,6 @@ from .digraph import (
     digraph_of,
     feasible_h_values,
     find_h_partition,
-    is_h_cyclic,
     partition_from_json,
     partition_to_json,
 )
@@ -74,38 +73,6 @@ from .jordan import (
     weyr_zero,
     zero_chains_all,
 )
-
-# Library operations exercised by each subcommand (directly or through a
-# fixed composition).  Kept as data so tests can assert full coverage.
-COMMAND_OPERATIONS = {
-    "detect": ("digraph_of", "cyclic_index", "feasible_h_values", "find_h_partition"),
-    "partition": ("digraph_of", "find_h_partition", "consecutive_permutation"),
-    "blocks": ("is_h_cyclic", "extract_blocks", "submatrix", "partial_product"),
-    "power": ("is_h_cyclic", "block_diagonal_power", "partial_product"),
-    "spectrum": ("is_h_cyclic", "mirsky_spectrum"),
-    "check": ("is_h_cyclic", "nonsingular_structure_check", "matrix_rank"),
-    "circulant": (
-        "circulant_from_reference",
-        "recognize_circulant",
-        "basic_circulant",
-        "c_k_matrix",
-        "w_matrix",
-    ),
-    "rotate-chain": ("rotate_right_chain", "rotate_left_chain", "verify_chain"),
-    "zero-chains": (
-        "is_h_cyclic",
-        "null_space",
-        "embed_null_vector",
-        "zero_chain_from_null_vector",
-        "zero_chains_all",
-        "partial_product",
-        "verify_chain",
-        "weyr_zero",
-    ),
-    "weyr": ("weyr_zero",),
-    "reconstruct": ("hadamard", "jordan_block", "reconstruct_from_chains"),
-}
-
 
 # Every float is rendered with this format, one by one or, inside the
 # [re, im] pairs of complex arrays, in bulk.
@@ -368,21 +335,6 @@ def _cmd_reconstruct(args) -> dict:
     return {"matrix": _matrix_fields(a)}
 
 
-_HANDLERS = {
-    "detect": _cmd_detect,
-    "partition": _cmd_partition,
-    "blocks": _cmd_blocks,
-    "power": _cmd_power,
-    "spectrum": _cmd_spectrum,
-    "check": _cmd_check,
-    "circulant": _cmd_circulant,
-    "rotate-chain": _cmd_rotate_chain,
-    "zero-chains": _cmd_zero_chains,
-    "weyr": _cmd_weyr,
-    "reconstruct": _cmd_reconstruct,
-}
-
-
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -391,36 +343,38 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, help_text):
+    def add(name, handler, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="zero threshold")
-        p.set_defaults(handler=_HANDLERS[name])
+        p.set_defaults(handler=handler)
         return p
 
-    p = add("detect", "cyclic index and one partition per feasible h")
+    p = add("detect", _cmd_detect, "cyclic index and one partition per feasible h")
     p.add_argument("--matrix", required=True)
 
-    p = add("partition", "find a cyclically h-partite partition for a given h")
+    p = add("partition", _cmd_partition,
+            "find a cyclically h-partite partition for a given h")
     p.add_argument("--matrix", required=True)
     p.add_argument("--h", type=int, required=True)
 
-    p = add("blocks", "cycle blocks and cycle products of a consecutive h-cyclic matrix")
+    p = add("blocks", _cmd_blocks,
+            "cycle blocks and cycle products of a consecutive h-cyclic matrix")
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 
-    p = add("power", "diagonal blocks of A^h, verified against the cycle products")
+    p = add("power", _cmd_power, "diagonal blocks of A^h, verified against the cycle products")
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 
-    p = add("spectrum", "spectrum prediction from the first cycle product")
+    p = add("spectrum", _cmd_spectrum, "spectrum prediction from the first cycle product")
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 
-    p = add("check", "singularity and class-size structure report")
+    p = add("check", _cmd_check, "singularity and class-size structure report")
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 
-    p = add("circulant", "circulant constructions and recognition")
+    p = add("circulant", _cmd_circulant, "circulant constructions and recognition")
     p.add_argument("--recognize", help="matrix JSON file to test for circulant structure")
     p.add_argument("--from-reference", dest="from_reference", help="vector JSON file")
     p.add_argument("--basic", type=int, help="order of the basic circulant K_n")
@@ -430,21 +384,22 @@ def _build_parser() -> argparse.ArgumentParser:
         help="rank-one root-of-unity product (variant 1 or 2)",
     )
 
-    p = add("rotate-chain", "rotate a Jordan chain across a root of unity")
+    p = add("rotate-chain", _cmd_rotate_chain, "rotate a Jordan chain across a root of unity")
     p.add_argument("--chain", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--matrix", help="optional matrix to verify the rotated chain against")
 
-    p = add("zero-chains", "zero-eigenvalue chains from singular cycle products")
+    p = add("zero-chains", _cmd_zero_chains, "zero-eigenvalue chains from singular cycle products")
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
     p.add_argument("--class", dest="class_index", type=int, help="restrict output to one class")
 
-    p = add("weyr", "Weyr characteristic at the eigenvalue zero")
+    p = add("weyr", _cmd_weyr, "Weyr characteristic at the eigenvalue zero")
     p.add_argument("--matrix", required=True)
 
-    p = add("reconstruct", "assemble an h-cyclic matrix from symmetry-respecting chains")
+    p = add("reconstruct", _cmd_reconstruct,
+            "assemble an h-cyclic matrix from symmetry-respecting chains")
     p.add_argument("--orbits", required=True, help='JSON file {"orbits": [...]}')
     p.add_argument("--partition", required=True)
 

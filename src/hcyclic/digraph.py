@@ -290,11 +290,9 @@ def consecutive_permutation(part: CyclicPartition) -> tuple[int, ...]:
     consecutive block form, and :func:`permute_partition` maps ``part``
     onto the matching consecutive partition.
     """
-    order = [v for cls in part.classes for v in cls]
-    sigma = [0] * part.n
-    for new_label, v in enumerate(order, start=1):
-        sigma[v - 1] = new_label
-    return tuple(sigma)
+    sigma = np.empty(part.n, dtype=int)
+    sigma[np.concatenate(part.classes) - 1] = np.arange(1, part.n + 1)
+    return tuple(sigma.tolist())
 
 
 def apply_vertex_permutation(a, sigma) -> np.ndarray:

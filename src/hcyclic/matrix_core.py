@@ -134,8 +134,7 @@ def jordan_block(n: int, lam: complex) -> np.ndarray:
         raise ValueError(f"Jordan block order must be >= 1, got {n}")
     out = np.zeros((n, n), dtype=complex)
     np.fill_diagonal(out, complex(lam))
-    for i in range(n - 1):
-        out[i, i + 1] = 1.0
+    out[range(n - 1), range(1, n)] = 1.0
     return out
 
 
@@ -167,7 +166,8 @@ def _rref(a: np.ndarray, thr: float, reduced: bool = True) -> tuple[np.ndarray, 
     """Reduced row echelon form with partial pivoting.
 
     Pivots whose modulus is <= ``thr`` are treated as zero; an infinite
-    ``thr`` (an overflowed scale) raises NumericalError.  Returns the
+    ``thr`` (an overflowed scale) or a NaN pivot (left by an overflow; it
+    would pass for nonzero) raises NumericalError.  Returns the
     reduced matrix and the list of pivot column indices (0-based).  With
     ``reduced=False`` each pivot updates only the rows below it (forward
     elimination): those rows, the only ones a pivot search reads, take the
@@ -184,9 +184,12 @@ def _rref(a: np.ndarray, thr: float, reduced: bool = True) -> tuple[np.ndarray, 
         if row == m:
             break
         p = row + int(np.argmax(np.abs(r[row:, col])))
-        if abs(r[p, col]) <= thr:
+        size = abs(r[p, col])
+        if size <= thr:
             first = min(first, col)
             continue
+        if math.isnan(size):
+            raise NumericalError("the row reduction overflowed the floating-point range")
         if p != row:
             r[[row, p]] = r[[p, row]]
         # Columns left of ``lo`` are pivot columns, zero in the pivot row.
@@ -223,18 +226,16 @@ def null_space(a, tol: float = DEFAULT_TOL) -> tuple[int, list[np.ndarray]]:
         echelon form.  Each basis vector has 1 in its free position and
         the negated echelon entries in the pivot positions, so
         ``rank + len(basis) == a.shape[1]`` always holds and the vectors
-        keep whatever rational structure the input had.
+        keep whatever rational structure the input had.  An overflowed
+        reduction or basis entry raises NumericalError.
     """
     am = as_complex_matrix(a)
     rref, pivots = _rref(am, _threshold(tol, norm_inf(am)))
-    n = am.shape[1]
-    basis = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        v = np.zeros(n, dtype=complex)
-        v[f] = 1.0
-        v[pivots] = -rref[:len(pivots), f]
-        basis.append(v)
-    return len(pivots), basis
+    free = np.delete(np.arange(am.shape[1]), pivots)
+    basis = np.zeros((len(free), am.shape[1]), dtype=complex)
+    basis[range(len(free)), free] = 1.0
+    basis[:, pivots] = -rref[:len(pivots), free].T
+    return len(pivots), list(_finite(basis, "the kernel basis"))
 
 
 # Two primes p with 500 p^2 < 2^53: a matrix product of residues below p

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import hashlib
@@ -25,7 +26,7 @@ from hcyclic import (
     w_matrix,
 )
 from hcyclic import cli
-from hcyclic.cli import COMMAND_OPERATIONS, _HANDLERS, main, render_json
+from hcyclic.cli import main, render_json
 from hcyclic.matrix_core import _pairs_to_json
 
 import helpers
@@ -82,6 +83,9 @@ def files(tmp_path):
         "six_chain": write(
             "six_chain.json", chain_to_json(JordanChain(0j, "right", (x1, x2)))
         ),
+        # (x1, x2) is also a left chain of the six matrix at zero.
+        "six_left": write("six_left.json", chain_to_json(JordanChain(0j, "left", (x1, x2)))),
+        "six_half": write("six_half.json", matrix_to_json(helpers.six_matrix() / 2)),
         "twelve": write("twelve.json", matrix_to_json(helpers.twelve_matrix())),
         "twelve_part": write(
             "twelve_part.json", partition_to_json(helpers.TWELVE_PARTITION)
@@ -377,6 +381,16 @@ class TestExitCodes:
         assert (code, out) == (0, '{"weyr": []}\n')
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_pivot_is_numerical_failure(self, capsys, files):
+        # Rank 2; at tol 0 a NaN left by the overflowed elimination was
+        # counted as a third pivot and the weights printed as [].
+        a = np.array([[1, 1e308, 1e308], [1, -1e308, -1e308], [0, 1, 1]])
+        argv = ["weyr", "--tol", "0", "--matrix", files["write"]("nan.json", matrix_to_json(a))]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "overflowed" in err and "Traceback" not in err
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_chain_residual_is_numerical_failure(self, capsys, files):
         # [1e200, 2e200] is no eigenvector of the swap times 1e200, but
         # its residual inf - inf = nan passed every threshold.
@@ -567,7 +581,9 @@ class TestExitCodes:
         assert run_cli(capsys, ["weyr", "--matrix", str(ints)]) == (0, '{"weyr": [1, 1]}\n', "")
 
 
-# One call per subcommand (every circulant flag), on the small inputs.
+# One call per subcommand (every circulant flag), on the small inputs;
+# check also on a non-integer matrix, which takes the float rank, and
+# rotate-chain also on a left chain.
 EVERY_COMMAND = [
     ("detect", "--matrix", "six"),
     ("partition", "--matrix", "six", "--h", "3"),
@@ -575,12 +591,15 @@ EVERY_COMMAND = [
     ("power", "--matrix", "twelve", "--partition", "twelve_part"),
     ("spectrum", "--matrix", "six", "--partition", "six_part"),
     ("check", "--matrix", "twelve", "--partition", "twelve_part"),
+    ("check", "--matrix", "six_half", "--partition", "six_part"),
     ("circulant", "--recognize", "six"),
     ("circulant", "--from-reference", "ref"),
     ("circulant", "--basic", "4"),
     ("circulant", "--ck", "5", "2"),
     ("circulant", "--w", "2", "1", "1", "2"),
     ("rotate-chain", "--chain", "six_chain", "--partition", "six_part", "--k", "1",
+     "--matrix", "six"),
+    ("rotate-chain", "--chain", "six_left", "--partition", "six_part", "--k", "1",
      "--matrix", "six"),
     ("zero-chains", "--matrix", "twelve", "--partition", "twelve_part"),
     ("weyr", "--matrix", "twelve"),
@@ -863,20 +882,34 @@ class TestCirculantRendering:
 
 
 class TestCoverage:
-    def test_every_operation_reachable(self):
-        covered = set()
-        for ops in COMMAND_OPERATIONS.values():
-            covered.update(ops)
-        missing = [op for op in REQUIRED_OPERATIONS if op not in covered]
-        assert not missing, f"operations with no subcommand: {missing}"
+    def test_every_operation_reachable(self, capsys, files):
+        # Runs every subcommand and records the hcyclic functions it enters.
+        package = str(Path(hcyclic.__file__).parent) + "/"
+        reached = set()
 
-    def test_declared_operations_exist(self):
-        for ops in COMMAND_OPERATIONS.values():
-            for name in ops:
-                assert hasattr(hcyclic, name), name
+        def record(frame, event, _arg):
+            if event == "call" and frame.f_code.co_filename.startswith(package):
+                reached.add(frame.f_code.co_name)
 
-    def test_every_subcommand_has_handler(self):
-        assert set(COMMAND_OPERATIONS) == set(_HANDLERS)
+        for argv_key in EVERY_COMMAND:
+            argv = [files[token] if token in files else token for token in argv_key]
+            sys.setprofile(record)
+            try:
+                code = main(argv)
+            finally:
+                sys.setprofile(None)
+            assert code == 0, argv_key
+        capsys.readouterr()
+        (subparsers,) = [action for action in cli._build_parser()._actions
+                         if isinstance(action, argparse._SubParsersAction)]
+        assert {argv_key[0] for argv_key in EVERY_COMMAND} == set(subparsers.choices)
+        # zero-chains grows its chains with the worker of
+        # zero_chain_from_null_vector on the kernel vectors it computes; the
+        # public function only adds checks of a seed its caller supplies.
+        if "_zero_chain" in reached:
+            reached.add("zero_chain_from_null_vector")
+        missing = [op for op in REQUIRED_OPERATIONS if op not in reached]
+        assert not missing, f"operations no subcommand reaches: {missing}"
 
 
 def test_module_entry_point(tmp_path):

@@ -292,6 +292,24 @@ class TestRref:
             null_space(a, 1e-12)
         assert matrix_rank(a, 0.0) == null_space(a, 0.0)[0] == 2
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_pivot_raises(self):
+        # Rank 2; the first elimination step makes the second row
+        # [0, -inf, -inf], whose scaling by its pivot -inf leaves a NaN that
+        # passes for a third pivot at tol 0.  The full reduction writes
+        # zeros over that NaN, so its result alone would look finite.
+        a = np.array([[1, 1e308, 1e308], [1, -1e308, -1e308], [0, 1, 1]])
+        with pytest.raises(NumericalError, match="row reduction overflowed"):
+            matrix_rank(a, 0.0)
+        with pytest.raises(NumericalError, match="row reduction overflowed"):
+            null_space(a, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowed_kernel_basis_raises(self):
+        # The kernel of [[1e-300, 1e10], [0, 0]] is spanned by [-1e310, 1].
+        with pytest.raises(NumericalError, match="kernel basis overflowed"):
+            null_space(np.array([[1e-300, 1e10], [0.0, 0.0]]), 0.0)
+
 
 # The primes of the exact Weyr path.
 P, Q = 4244333, 4244329
