@@ -881,6 +881,12 @@ class TestCirculantRendering:
         assert out.getvalue() == expected + "\n"
 
 
+def _subparsers():
+    (subparsers,) = [action for action in cli._build_parser()._actions
+                     if isinstance(action, argparse._SubParsersAction)]
+    return subparsers.choices
+
+
 class TestCoverage:
     def test_every_operation_reachable(self, capsys, files):
         # Runs every subcommand and records the hcyclic functions it enters.
@@ -900,9 +906,6 @@ class TestCoverage:
                 sys.setprofile(None)
             assert code == 0, argv_key
         capsys.readouterr()
-        (subparsers,) = [action for action in cli._build_parser()._actions
-                         if isinstance(action, argparse._SubParsersAction)]
-        assert {argv_key[0] for argv_key in EVERY_COMMAND} == set(subparsers.choices)
         # zero-chains grows its chains with the worker of
         # zero_chain_from_null_vector on the kernel vectors it computes; the
         # public function only adds checks of a seed its caller supplies.
@@ -910,6 +913,19 @@ class TestCoverage:
             reached.add("zero_chain_from_null_vector")
         missing = [op for op in REQUIRED_OPERATIONS if op not in reached]
         assert not missing, f"operations no subcommand reaches: {missing}"
+
+    def test_declared_operations_exist(self):
+        # The names the reachability check looks for are public functions.
+        for name in REQUIRED_OPERATIONS:
+            assert callable(getattr(hcyclic, name, None)), name
+
+    def test_every_subcommand_has_handler(self):
+        # Each subcommand binds a handler, and EVERY_COMMAND (run above)
+        # calls exactly the parser's subcommands.
+        choices = _subparsers()
+        for name, parser in choices.items():
+            assert callable(parser.get_default("handler")), name
+        assert {argv_key[0] for argv_key in EVERY_COMMAND} == set(choices)
 
 
 def test_module_entry_point(tmp_path):
