@@ -18,6 +18,17 @@ collector rescans the growing parse tree of a large JSON document again
 and again while ``json.loads`` builds it.  The pause leaves nothing for
 later: the argument parser, the one structure with reference cycles, is
 built once per process, and nothing else a call builds forms a cycle.
+
+The handler and the render run with numpy's overflow, invalid-value and
+divide-by-zero warnings silenced, and the caller's settings come back on
+the way out.  Overflow that matters is caught where it happens (a result
+that is not finite, a NaN pivot) and reported on one ``error:`` line;
+the warnings would only put numpy's source lines ahead of it.
+
+A matrix file in the canonical layout, as ``render_json`` writes it, is
+decoded from its text (``matrix_core._matrix_from_text``); any other
+takes ``json.loads`` and ``matrix_from_json``, with the same values,
+messages and exit codes.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from __future__ import annotations
 import argparse
 import functools
 import gc
+import io
 import json
 import math
 import sys
@@ -37,6 +49,7 @@ from .matrix_core import (
     NumericalError,
     _json_int,
     _matrix_fields,
+    _matrix_from_text,
     _pairs_from_json,
     matrix_from_json,
 )
@@ -155,8 +168,10 @@ def _render(value, parts: list[str]) -> None:
         raise TypeError(f"cannot render {type(value).__name__} as JSON")
 
 
-def _load_json(path: str):
-    text = Path(path).read_text()
+def _load_json(path: str, raw: bytes | None = None):
+    # ``raw``, when given, is what the file held when read; it is decoded
+    # as ``read_text`` decodes, so a pipe need not be read twice.
+    text = Path(path).read_text() if raw is None else io.TextIOWrapper(io.BytesIO(raw)).read()
     try:
         return json.loads(text)
     except RecursionError:
@@ -164,7 +179,9 @@ def _load_json(path: str):
 
 
 def _load_matrix(path: str) -> np.ndarray:
-    return matrix_from_json(_load_json(path))
+    raw = Path(path).read_bytes()
+    mat = _matrix_from_text(raw)
+    return matrix_from_json(_load_json(path, raw)) if mat is None else mat
 
 
 def _load_vector(path: str) -> np.ndarray:
@@ -411,15 +428,16 @@ def main(argv=None) -> int:
     gc.disable()  # see the module docstring
     try:
         args = _build_parser().parse_args(argv)
-        try:
-            result = args.handler(args)
-        except NumericalError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        print(render_json(result))
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see the module docstring
+            try:
+                result = args.handler(args)
+            except NumericalError as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
+            except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 2
+            print(render_json(result))
         return 0
     finally:
         if enabled:

@@ -30,9 +30,11 @@ increase raises :class:`NumericalError`.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import numbers
 import operator
+import re
 
 import numpy as np
 
@@ -576,6 +578,45 @@ def matrix_to_json(a) -> dict:
     row-major ``data``."""
     am = as_complex_matrix(a)
     return {**_matrix_fields(am), "data": _pairs_to_json(am)}
+
+
+# The canonical matrix text up to the first pair: ``json.dumps`` of
+# :func:`matrix_to_json` and ``cli.render_json`` both write it so.
+_CANONICAL_HEAD = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
+_NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
+
+
+def _matrix_from_text(text: bytes) -> np.ndarray | None:
+    """The matrix of the canonical text ``{"rows": R, "cols": C, "data":
+    [[re, im], ...]}``, decoded as :func:`matrix_from_json` decodes
+    ``json.loads(text)``; None for any other text, valid or not, which
+    the caller decodes that way.
+
+    With the number characters and JSON whitespace deleted, what follows
+    the head must read ``[,],`` R*C times, its last comma replaced by
+    ``]}``.  That proves the pair structure and leaves no room for a
+    bool, null, string or nested value.  Deleting the brackets then
+    leaves one flat list of 2*R*C numbers for ``json.loads``, the same
+    number parser, so ``01``, ``+1`` or ``1.`` fails there and ``1e400``
+    is caught by the finite test.  Lengths are compared before the
+    expected text is built, so a header that claims more entries than
+    the text holds costs nothing."""
+    head = _CANONICAL_HEAD.match(text)
+    if head is None:
+        return None
+    rows, cols = int(head[1]), int(head[2])
+    body = text[head.end():]
+    skeleton = body.translate(None, _NUMBER_OR_SPACE)
+    if len(skeleton) != 4 * rows * cols + 1 or skeleton != b"[,]," * (rows * cols - 1) + b"[,]]}":
+        return None
+    try:
+        values = json.loads(b"[" + body.translate(None, b"[]}") + b"]")
+        arr = np.fromiter(values, np.float64, count=len(values))
+    except (ValueError, OverflowError):  # a malformed number, or an int beyond float
+        return None
+    if not np.all(np.isfinite(arr)):
+        return None
+    return arr.view(complex).reshape(rows, cols)
 
 
 def matrix_from_json(obj) -> np.ndarray:

@@ -4,8 +4,10 @@ import gc
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,7 +29,7 @@ from hcyclic import (
 )
 from hcyclic import cli
 from hcyclic.cli import main, render_json
-from hcyclic.matrix_core import _pairs_to_json
+from hcyclic.matrix_core import _matrix_from_text, _pairs_to_json
 
 import helpers
 
@@ -336,7 +338,6 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"class index {index} out of range 1..3" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "command", ["blocks", "power", "spectrum", "check", "zero-chains", "weyr"]
     )
@@ -368,7 +369,6 @@ class TestExitCodes:
         assert json.loads(out) == {"classes": [], "weyr": [], "zero_block_sizes": [],
                                    "cross_class_redundancy": False}
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowed_rank_scale_is_numerical_failure(self, capsys, files):
         # Nonsingular; its row sums 3e308 make the pivot threshold inf,
         # which would read every pivot as zero.  At tol 0 there is no scale.
@@ -380,7 +380,6 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, argv + ["--tol", "0"])
         assert (code, out) == (0, '{"weyr": []}\n')
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_pivot_is_numerical_failure(self, capsys, files):
         # Rank 2; at tol 0 a NaN left by the overflowed elimination was
         # counted as a third pivot and the weights printed as [].
@@ -390,7 +389,21 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "error:" in err and "overflowed" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_oversized_header_allocates_nothing(self, capsys, tmp_path):
+        # The header claims 10^9 entries: the text is measured before a
+        # skeleton of that many entries is built, so nothing of that size
+        # is allocated on the way to today's message.
+        small = tmp_path / "claims.json"
+        small.write_text('{"rows": 1000000000, "cols": 1, "data": []}')
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, ["weyr", "--matrix", str(small)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", "error: matrix data must hold 1000000000 [re, im] pairs\n")
+        assert peak < 10**6
+
     def test_overflowing_chain_residual_is_numerical_failure(self, capsys, files):
         # [1e200, 2e200] is no eigenvector of the swap times 1e200, but
         # its residual inf - inf = nan passed every threshold.
@@ -422,7 +435,6 @@ class TestExitCodes:
         argv = ["weyr", "--matrix", files["write"]("pq.json", matrix_to_json(a))] + tol
         assert run_cli(capsys, argv) == (0, '{"weyr": []}\n', "")
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reconstruct_overflow_is_numerical_failure(self, capsys, files):
         # Biorthonormal chains whose outer products leave the float range.
         code, out, err = run_cli(
@@ -431,7 +443,6 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "overflowed" in err and "Traceback" not in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_reconstruct_overflowing_gram_is_not_biorthonormal(self, capsys, files):
         code, out, err = run_cli(
             capsys, self._reconstruct_argv(files, (1e200, 1e200), (1e200, 1e200))
@@ -439,7 +450,6 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "not biorthonormal" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize(
         "command, payload",
         [
@@ -842,6 +852,85 @@ class TestRendererOracle:
         assert str(got.value) == str(oracle.value) == "cannot render non-finite float"
 
 
+# What a mutation may put in place of one number of a matrix text.
+NUMBER_SWAPS = ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity", "+1", "01",
+                "1.", ".5", "1e400", "-1E400", str(10 ** 400), "-0", "-0.0", "1E5", "1e-400",
+                "[1]", "{}", "1 2", "1-2", "e", ""]
+# Mutations that keep the canonical layout, which the text decoder must take.
+CANONICAL_MUTATIONS = ("none", "trailing-newline", "pair-spaces")
+
+
+@st.composite
+def matrix_texts(draw):
+    """A matrix file as ``json.dumps(matrix_to_json(a))`` or ``render_json``
+    writes it, with at most one mutation, and whether the text is still in
+    the canonical layout."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    parts = draw(st.lists(finite_floats, min_size=2 * shape[0] * shape[1],
+                          max_size=2 * shape[0] * shape[1]))
+    a = np.array(parts).view(complex).reshape(shape)
+    rows, cols = shape
+    text = draw(st.sampled_from([json.dumps(matrix_to_json(a)),
+                                 render_json({"rows": rows, "cols": cols, "data": a})]))
+    how = draw(st.sampled_from(CANONICAL_MUTATIONS + (
+        "number", "ragged-short", "ragged-long", "reordered", "extra-key", "duplicate-key",
+        "bom", "compact", "newlines", "crlf", "spaced-head", "wrong-rows")))
+    head, data = text.split('"data": ')
+    if how == "trailing-newline":
+        text += "\n"
+    elif how == "pair-spaces":
+        text = head + '"data": ' + data.replace("], [", "] ,\t[").replace("[[", "[ [")
+    elif how == "number":
+        numbers = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", data)]
+        start, stop = numbers[draw(st.integers(0, len(numbers) - 1))]
+        data = data[:start] + draw(st.sampled_from(NUMBER_SWAPS)) + data[stop:]
+        text = head + '"data": ' + data
+    elif how == "ragged-short":
+        text = head + '"data": ' + re.sub(r", [^\]]*\]", "]", data, count=1)
+    elif how == "ragged-long":
+        text = head + '"data": ' + data.replace("]", ", 0]", 1)
+    elif how == "reordered":
+        text = '{"cols": %d, "rows": %d, "data": %s' % (cols, rows, data)
+    elif how == "extra-key":
+        text = text[:-1] + ', "note": 1}'
+    elif how == "duplicate-key":
+        text = text[:-1] + ', "rows": %d}' % draw(st.sampled_from([rows, rows + 1]))
+    elif how == "bom":
+        text = "\ufeff" + text
+    elif how == "compact":
+        text = text.replace(", ", ",").replace(": ", ":")
+    elif how == "newlines":
+        text = text.replace(", ", ",\n ")
+    elif how == "crlf":
+        text = text.replace(", [", ",\r\n[") + "\r\n"
+    elif how == "spaced-head":
+        text = " " + text.replace('"rows": ', '"rows" : ')
+    elif how == "wrong-rows":
+        text = text.replace('"rows": %d' % rows, '"rows": %d' % (rows + 1), 1)
+    return text, how in CANONICAL_MUTATIONS
+
+
+class TestCanonicalMatrixText:
+    @settings(max_examples=400)
+    @given(case=matrix_texts())
+    def test_matches_json_loads(self, tmp_path_factory, case):
+        # The flat text decoder and its fallback against the decoding of
+        # the parsed document: the same bytes, or the same ValueError.
+        text, canonical = case
+        path = tmp_path_factory.mktemp("matrix") / "m.json"
+        path.write_bytes(text.encode())
+        if canonical:
+            assert _matrix_from_text(path.read_bytes()) is not None
+        try:
+            want = matrix_from_json(json.loads(path.read_text()))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                cli._load_matrix(str(path))
+            assert str(got.value) == str(exc)
+        else:
+            assert cli._load_matrix(str(path)).tobytes() == want.tobytes()
+
+
 @st.composite
 def circulant_commands(draw):
     """argv tail of one ``circulant`` variant of order n in 1..40, with the
@@ -928,16 +1017,42 @@ class TestCoverage:
         assert {argv_key[0] for argv_key in EVERY_COMMAND} == set(choices)
 
 
-def test_module_entry_point(tmp_path):
-    matrix = tmp_path / "m.json"
-    matrix.write_text(json.dumps(matrix_to_json(helpers.six_matrix())))
+def run_module(args, **kwargs):
+    # The CLI as a fresh interpreter runs it, with the default warning filters.
     repo = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-m", "hcyclic.cli", "weyr", "--matrix", str(matrix)],
+    return subprocess.run(
+        [sys.executable, "-m", "hcyclic.cli", *args],
         capture_output=True,
         text=True,
         cwd=repo,
         env={"PYTHONPATH": str(repo / "src"), "PATH": "/usr/bin:/bin"},
+        **kwargs,
     )
+
+
+def test_module_entry_point(tmp_path):
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps(matrix_to_json(helpers.six_matrix())))
+    proc = run_module(["weyr", "--matrix", str(matrix)])
     assert proc.returncode == 0
     assert proc.stdout.strip() == '{"weyr": [2, 1]}'
+
+
+@pytest.mark.parametrize("indent", [None, 1], ids=["canonical", "indented"])
+def test_matrix_read_from_a_pipe(indent):
+    # A pipe can be read once: a document that is not in the canonical
+    # layout is decoded from the bytes the text decoder was given.
+    proc = run_module(["weyr", "--matrix", "/dev/stdin"],
+                      input=json.dumps(matrix_to_json(helpers.six_matrix()), indent=indent))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, '{"weyr": [2, 1]}\n', "")
+
+
+def test_overflow_prints_only_its_error_line(tmp_path):
+    # numpy's overflow and invalid-value warnings, with their source lines,
+    # used to come ahead of the error line.
+    matrix = tmp_path / "nan.json"
+    a = np.array([[1, 1e308, 1e308], [1, -1e308, -1e308], [0, 1, 1]])
+    matrix.write_text(json.dumps(matrix_to_json(a)))
+    proc = run_module(["weyr", "--tol", "0", "--matrix", str(matrix)])
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: the row reduction overflowed the floating-point range\n"
