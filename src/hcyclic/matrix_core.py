@@ -584,6 +584,7 @@ def matrix_to_json(a) -> dict:
 # :func:`matrix_to_json` and ``cli.render_json`` both write it so.
 _CANONICAL_HEAD = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
 _NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
+_BRACKETS_TO_SPACES = bytes.maketrans(b"[]}", b"   ")
 
 
 def _matrix_from_text(text: bytes) -> np.ndarray | None:
@@ -595,12 +596,15 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     With the number characters and JSON whitespace deleted, what follows
     the head must read ``[,],`` R*C times, its last comma replaced by
     ``]}``.  That proves the pair structure and leaves no room for a
-    bool, null, string or nested value.  Deleting the brackets then
-    leaves one flat list of 2*R*C numbers for ``json.loads``, the same
-    number parser, so ``01``, ``+1`` or ``1.`` fails there and ``1e400``
-    is caught by the finite test.  Lengths are compared before the
-    expected text is built, so a header that claims more entries than
-    the text holds costs nothing."""
+    bool, null, string or nested value.  Turning the brackets into
+    spaces then leaves one flat list of 2*R*C numbers for
+    ``json.loads``, the same number parser, so ``01``, ``+1`` or ``1.``
+    fails there and ``1e400`` is caught by the finite test.  A number
+    character outside the pairs, which the skeleton does not see, is
+    left standing apart from its neighbour, so ``json.loads`` fails on
+    it too rather than gluing it onto a number.  Lengths are compared
+    before the expected text is built, so a header that claims more
+    entries than the text holds costs nothing."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -610,7 +614,7 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     if len(skeleton) != 4 * rows * cols + 1 or skeleton != b"[,]," * (rows * cols - 1) + b"[,]]}":
         return None
     try:
-        values = json.loads(b"[" + body.translate(None, b"[]}") + b"]")
+        values = json.loads(b"[" + body.translate(_BRACKETS_TO_SPACES) + b"]")
         arr = np.fromiter(values, np.float64, count=len(values))
     except (ValueError, OverflowError):  # a malformed number, or an int beyond float
         return None

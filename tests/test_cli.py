@@ -404,6 +404,23 @@ class TestExitCodes:
         assert (code, out, err) == (2, "", "error: matrix data must hold 1000000000 [re, im] pairs\n")
         assert peak < 10**6
 
+    @pytest.mark.parametrize("text", [
+        '{"rows": 1, "cols": 1, "data": [[1, 2]]}7',
+        '{"rows": 1, "cols": 1, "data": [[1, 2]e5]}',
+        '{"rows": 1, "cols": 1, "data": [5[1, 2]]}',
+        '{"rows": 1, "cols": 2, "data": [[1, 2]5, [3, 4]]}',
+    ])
+    def test_number_outside_pairs_is_rejected(self, capsys, tmp_path, text):
+        # A number character outside the pairs must not be glued onto a
+        # neighbouring number; the file is invalid JSON, as json.loads says.
+        path = tmp_path / "glued.json"
+        path.write_text(text)
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(text)
+        code, out, err = run_cli(capsys, ["weyr", "--matrix", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {exc.value}\n"
+
     def test_overflowing_chain_residual_is_numerical_failure(self, capsys, files):
         # [1e200, 2e200] is no eigenvector of the swap times 1e200, but
         # its residual inf - inf = nan passed every threshold.
@@ -856,6 +873,8 @@ class TestRendererOracle:
 NUMBER_SWAPS = ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity", "+1", "01",
                 "1.", ".5", "1e400", "-1E400", str(10 ** 400), "-0", "-0.0", "1E5", "1e-400",
                 "[1]", "{}", "1 2", "1-2", "e", ""]
+# Number characters a mutation may put outside the pairs.
+STRAY_CHARACTERS = list("0123456789.eE+-")
 # Mutations that keep the canonical layout, which the text decoder must take.
 CANONICAL_MUTATIONS = ("none", "trailing-newline", "pair-spaces")
 
@@ -873,7 +892,7 @@ def matrix_texts(draw):
     text = draw(st.sampled_from([json.dumps(matrix_to_json(a)),
                                  render_json({"rows": rows, "cols": cols, "data": a})]))
     how = draw(st.sampled_from(CANONICAL_MUTATIONS + (
-        "number", "ragged-short", "ragged-long", "reordered", "extra-key", "duplicate-key",
+        "number", "stray", "ragged-short", "ragged-long", "reordered", "extra-key", "duplicate-key",
         "bom", "compact", "newlines", "crlf", "spaced-head", "wrong-rows")))
     head, data = text.split('"data": ')
     if how == "trailing-newline":
@@ -884,6 +903,14 @@ def matrix_texts(draw):
         numbers = [m.span() for m in re.finditer(r"-?[0-9][0-9.eE+-]*", data)]
         start, stop = numbers[draw(st.integers(0, len(numbers) - 1))]
         data = data[:start] + draw(st.sampled_from(NUMBER_SWAPS)) + data[stop:]
+        text = head + '"data": ' + data
+    elif how == "stray":
+        # A number character beside a bracket, outside every pair: before
+        # the first pair, before or after any pair, or after the closing brace.
+        brackets = [m.end() for m in re.finditer(r"\[(?=\[)|\](?=,|\])", data)]
+        brackets += [m.start() for m in re.finditer(r"(?<=, )\[", data)]
+        at = draw(st.sampled_from(brackets + [len(data)]))
+        data = data[:at] + draw(st.sampled_from(STRAY_CHARACTERS)) + data[at:]
         text = head + '"data": ' + data
     elif how == "ragged-short":
         text = head + '"data": ' + re.sub(r", [^\]]*\]", "]", data, count=1)
