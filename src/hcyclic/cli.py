@@ -383,7 +383,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 
-    p = add("spectrum", _cmd_spectrum, "spectrum prediction from the first cycle product")
+    p = add("spectrum", _cmd_spectrum, "spectrum prediction from the smallest cycle product")
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 

@@ -4,7 +4,7 @@ A matrix that is h-cyclic with consecutive partition (V_1, ..., V_h)
 carries all of its content in the blocks A_{i,i+1} = A(V_i, V_{i+1}),
 with A_{h,1} closing the cycle.  The h-th power is block diagonal with
 the cycle products B_i on the diagonal, and the spectrum is the h-th
-roots of the nonzero eigenvalues of B_1 together with the matching
+roots of the nonzero eigenvalues of any B_i together with the matching
 count of zeros (Mirsky's theorem).
 """
 
@@ -20,7 +20,6 @@ from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
     _finite,
-    _singular,
     _threshold,
     _weyr_weights,
     as_complex_matrix,
@@ -179,12 +178,28 @@ def block_diagonal_power(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> 
     return out
 
 
+def _smallest_product(bc: BlockCycle, tol: float) -> tuple[np.ndarray, int]:
+    """The cycle product B of the first class of smallest size s, and the
+    number m of nonzero eigenvalues that every B_i has.
+
+    B_i and B_alpha(i) are XY and YX for the same two factors, and XY and
+    YX share their nonzero eigenvalues, so all B_i have the same m <= s:
+    A has n - h*m zeros, and B_i is singular exactly when |V_i| > m.  The
+    zero of B is counted by its Weyr weights (exact for a Gaussian-integer
+    B), since eigvals turns a defective zero into a cluster of radius
+    about eps^(1/p).
+    """
+    s = min(bc.sizes)
+    b = partial_product(bc, bc.sizes.index(s) + 1, bc.h)
+    return b, s - sum(_weyr_weights(b, tol))
+
+
 @dataclass(frozen=True)
 class SpectrumPrediction:
-    """Spectrum of an h-cyclic matrix read off its first cycle product.
+    """Spectrum of an h-cyclic matrix read off its smallest cycle product.
 
-    ``zero_count`` zeros plus, for each nonzero eigenvalue of B_1, the
-    orbit of its h h-th roots (consecutive roots differ by the factor
+    ``zero_count`` zeros plus, for each nonzero eigenvalue of that B_i,
+    the orbit of its h h-th roots (consecutive roots differ by the factor
     exp(2*pi*i/h), so each orbit is closed under that rotation).
     """
 
@@ -210,22 +225,12 @@ def _hth_roots(lam: complex, h: int) -> tuple[complex, ...]:
 
 def mirsky_spectrum(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> SpectrumPrediction:
     """Predicted spectrum: n - h*m zeros and the h-th roots of the m
-    nonzero eigenvalues of the cycle product B_1, where m = |V_1| minus the
-    multiplicity of zero in B_1 read off the ranks of its powers."""
-    bc = _checked_cycle(a, part, tol)[1]
-    b1 = partial_product(bc, 1, part.h)
-    # A defective zero of B_1 comes out of eigvals as a cluster of radius
-    # about eps^(1/p), so its multiplicity is taken from the rank sequence.
-    m = b1.shape[0] - sum(_weyr_weights(b1, tol))
-    eigs = sorted((complex(z) for z in np.linalg.eigvals(b1)), key=lambda z: (-abs(z), cmath.phase(z)))
-    zero_count = part.n - part.h * m
-    if zero_count < 0:
-        raise NumericalError(
-            "nonzero eigenvalue count exceeds what the block sizes allow; "
-            "tolerance is misclassifying zeros"
-        )
+    nonzero eigenvalues of the cycle product of the first smallest class
+    (:func:`_smallest_product`)."""
+    b, m = _smallest_product(_checked_cycle(a, part, tol)[1], tol)
+    eigs = sorted((complex(z) for z in np.linalg.eigvals(b)), key=lambda z: (-abs(z), cmath.phase(z)))
     orbits = tuple(_hth_roots(lam, part.h) for lam in eigs[:m])
-    return SpectrumPrediction(zero_count=zero_count, root_orbits=orbits)
+    return SpectrumPrediction(zero_count=part.n - part.h * m, root_orbits=orbits)
 
 
 @dataclass(frozen=True)
@@ -239,21 +244,13 @@ class StructureReport:
 def nonsingular_structure_check(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> StructureReport:
     """Singularity and size structure of an h-cyclic matrix.
 
-    One cycle product decides every class: that of the first class of
-    smallest size s, by :func:`matrix_core._singular` (exact for a
-    Gaussian-integer product, as in :func:`mirsky_spectrum`).  If it is
-    singular, every B_i is; otherwise the singular B_i are those of the
-    classes with more than s vertices.  A nonsingular matrix therefore
-    always has equal class sizes, hence h | n.
+    The B_i of the classes with more than m vertices are singular, m read
+    from one cycle product (:func:`_smallest_product`, as in
+    :func:`mirsky_spectrum`).  A nonsingular matrix therefore always has
+    equal class sizes, hence h | n.
     """
-    bc = _checked_cycle(a, part, tol)[1]
-    # All B_i share their m nonzero eigenvalues (AB and BA do), so m <= s
-    # and B_i is singular exactly when |V_i| > m: when m < s, every B_i is.
-    s = min(part.sizes)
-    all_singular = _singular(partial_product(bc, part.sizes.index(s) + 1, part.h), tol)
-    singular_blocks = tuple(
-        i for i, size in enumerate(part.sizes, start=1) if all_singular or size > s
-    )
+    m = _smallest_product(_checked_cycle(a, part, tol)[1], tol)[1]
+    singular_blocks = tuple(i for i, size in enumerate(part.sizes, start=1) if size > m)
     return StructureReport(
         singular=bool(singular_blocks),
         singular_blocks=singular_blocks,

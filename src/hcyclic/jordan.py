@@ -340,8 +340,8 @@ def zero_chains_all(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> ZeroC
     weyr = weyr_zero(am, tol)
     reports: list[ZeroChainReport] = []
     for i, size in enumerate(part.sizes, start=1):
-        # Every B_i has the same m nonzero eigenvalues, h*m = n - sum(weyr),
-        # and is singular exactly when |V_i| > m; no other B_i is formed.
+        # B_i is singular exactly when |V_i| > m, with h*m = n - sum(weyr)
+        # (cyclic_blocks._smallest_product); no other B_i is formed.
         if part.h * size <= part.n - sum(weyr.weights):
             continue
         b_i = partial_product(bc, i, part.h)
@@ -405,17 +405,15 @@ def reconstruct_from_chains(
             f"rotated chain system has {total} vectors but the matrix order is {n}"
         )
 
-    columns: list[np.ndarray] = []
-    rows: list[np.ndarray] = []
-    jordan_blocks: list[np.ndarray] = []
+    s, y, j_full = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    pos = 0
     for (lam, p), rc, lc in zip(specs, rights, lefts):
         right, left = np.array(rc.vectors), np.array(lc.vectors)
         for k in range(h):
-            columns.append(_rotated(right, part, k, "right").T)
-            rows.append(_rotated(left, part, k, "left"))
-            jordan_blocks.append(jordan_block(p, lam * omega_pow(h, k, 1)))
-    s = np.column_stack(columns)
-    y = np.vstack(rows)
+            s[:, pos:pos + p] = _rotated(right, part, k, "right").T
+            y[pos:pos + p] = _rotated(left, part, k, "left")
+            j_full[pos:pos + p, pos:pos + p] = jordan_block(p, lam * omega_pow(h, k, 1))
+            pos += p
     gram = y @ s
     resid = float(np.max(np.abs(gram - np.eye(n))))
     # The largest entry of |Y| |S| bounds the rounding of every Gram entry.
@@ -437,12 +435,6 @@ def reconstruct_from_chains(
         synthesized = _finite(lam * h * eigen_part + h * coupling_part, "synthesized matrix")
         out += hadamard(synthesized, mask)
 
-    j_full = np.zeros((n, n), dtype=complex)
-    pos = 0
-    for blk in jordan_blocks:
-        m = blk.shape[0]
-        j_full[pos:pos + m, pos:pos + m] = blk
-        pos += m
     direct = s @ j_full @ y
     direct_resid = float(np.max(np.abs(out - direct)))
     direct_scale = norm_inf(s) * norm_inf(j_full) * norm_inf(y)

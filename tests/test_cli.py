@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 import hcyclic
 from hcyclic import (
     JordanChain,
+    assemble_blocks,
     basic_circulant,
     c_k_matrix,
     chain_to_json,
@@ -180,6 +181,21 @@ class TestSubcommands:
             "sizes_equal": False,
             "h_divides_n": True,
         }
+
+    def test_spectrum_and_check_agree_at_tol_zero(self, capsys, files):
+        # Class 1 is the larger: its B_1 of rank 2 reads float rank 3 at
+        # tol 0, so the count comes from B_2 of the smaller class 2.
+        a = assemble_blocks([[[0.7, 0.8], [0.9, 1.0], [1.1, 1.2]],
+                             [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]])
+        args = ["--matrix", files["write"]("a.json", matrix_to_json(a)), "--partition",
+                files["write"]("p.json", {"h": 2, "classes": [[1, 2, 3], [4, 5]]}), "--tol", "0"]
+        code, out, err = run_cli(capsys, ["spectrum"] + args)
+        assert (code, err) == (0, "")
+        doc = json.loads(out)
+        assert doc["zero_count"] == 1 and len(doc["orbits"]) == 2
+        code, out, err = run_cli(capsys, ["check"] + args)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["singular_blocks"] == [1]
 
     def test_circulant_flags(self, capsys, files):
         code, out, _ = run_cli(capsys, ["circulant", "--basic", "3"])

@@ -222,6 +222,21 @@ class TestMirskySpectrum:
         assert pred.zero_count == 12 and pred.root_orbits == ()
         assert sum(weyr_zero(a).weights) == 12
 
+    @pytest.mark.parametrize("tol", [0.0, DEFAULT_TOL])
+    def test_count_read_from_smallest_class_not_first(self, tol):
+        # B_1 = A_12 A_21 has order 3 and rank 2, but round-off gives it
+        # float rank 3 at tol 0.  The nonsingular B_2 of the smaller class
+        # gives m = 2 and one zero, and check marks class 1 alone singular.
+        a = assemble_blocks([[[0.7, 0.8], [0.9, 1.0], [1.1, 1.2]],
+                             [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]]])
+        part = helpers.consecutive_partition([3, 2])
+        pred = mirsky_spectrum(a, part, tol)
+        assert pred.zero_count == 1 and len(pred.root_orbits) == 2
+        helpers.assert_spectra_match(pred.multiset(), a, 1e-9)
+        report = nonsingular_structure_check(a, part, tol)
+        assert report.singular == (pred.zero_count > 0)
+        assert report.singular_blocks == (1,)
+
     @settings(max_examples=100)
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -229,12 +244,15 @@ class TestMirskySpectrum:
         nonzero=st.integers(0, 3),
         nilpotent=st.lists(st.integers(1, 4), max_size=3),
         tol=st.sampled_from([0.0, DEFAULT_TOL]),
+        offset=st.integers(0, 3),
     )
-    def test_zero_count_is_weyr_sum(self, seed, h, nonzero, nilpotent, tol):
+    def test_zero_count_is_weyr_sum(self, seed, h, nonzero, nilpotent, tol, offset):
         # B_1 = X J X^-1 with J = diag(D, N): D nonzero, N nilpotent Jordan
         # blocks, X unimodular, so A and B_1 are Gaussian-integer matrices
         # whose Weyr weights are exact at every tol: the Mirsky zero count,
         # the Weyr weights of A and n - h m all count its zero eigenvalues.
+        # The classes are then rotated by ``offset``, so the smallest class
+        # need not come first.
         m = nonzero + sum(nilpotent)
         assume(m > 0)
         rng = np.random.default_rng(seed)
@@ -254,6 +272,8 @@ class TestMirskySpectrum:
         blocks = [np.eye(sizes[i], sizes[(i + 1) % h]) for i in range(h)]
         blocks[0] = x @ j @ blocks[0]
         blocks[-1] = blocks[-1] @ x_inv
+        shift = offset % h
+        sizes, blocks = sizes[shift:] + sizes[:shift], blocks[shift:] + blocks[:shift]
         a = assemble_blocks(blocks)
         pred = mirsky_spectrum(a, helpers.consecutive_partition(sizes), tol)
         assert pred.zero_count == sum(weyr_zero(a, tol).weights) == sum(sizes) - h * nonzero
@@ -316,7 +336,8 @@ class TestStructureCheck:
 
     def test_forms_one_cycle_product(self, monkeypatch):
         # Sizes (2, 1, 3): only B_2 of the smallest class is formed, and
-        # its nonsingularity makes B_1 and B_3 singular.
+        # its nonsingularity makes B_1 and B_3 singular.  The spectrum
+        # reads the same B_2.
         products = []
         original = hcyclic.cyclic_blocks.partial_product
 
@@ -329,6 +350,30 @@ class TestStructureCheck:
         report = nonsingular_structure_check(a, helpers.consecutive_partition([2, 1, 3]))
         assert products == [(2, 3)]
         assert report.singular_blocks == (1, 3)
+        products.clear()
+        pred = mirsky_spectrum(a, helpers.consecutive_partition([2, 1, 3]))
+        assert products == [(2, 3)]
+        assert pred.zero_count == 3 and len(pred.root_orbits) == 1
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError,
+                       reason="a singular Gaussian-integer B_1 that the exact path declines "
+                              "reads float rank 3 at tol 0")
+    def test_declined_exact_product_at_tol_zero(self):
+        # The falsifying draw of test_singular_blocks_match_exact_ranks under
+        # --hypothesis-seed 14: h = 3, sizes 3/4/4, Gaussian-integer blocks.
+        # Every B_i is singular over Q, yet check leaves class 1 out.
+        a = assemble_blocks([
+            [[8 - 4j, -2, -4 + 4j, -2j], [4, -2 + 1j, -2j, -2 + 2j], [8, -2 - 1j, -4 + 2j, -2j]],
+            [[2 - 1j, -2 - 2j, -6j, 6 - 3j], [1 - 2j, -3 - 3j, -6 - 8j, 4 - 3j],
+             [-1 + 4j, 6 - 2j, 4, -2 + 2j], [-2, -2 + 2j, 4j, 2 + 4j]],
+            [[8, -2 + 2j, 4 + 6j], [-4 + 2j, 3 - 2j, 4 + 2j], [1 - 8j, 3 + 4j, 2 + 2j],
+             [8j, -1 - 7j, 8]],
+        ])
+        part = helpers.consecutive_partition([3, 4, 4])
+        bc = extract_blocks(a, part)
+        ranks = [helpers.fraction_rank(partial_product(bc, i, 3)) for i in (1, 2, 3)]
+        assert ranks == [2, 2, 2]
+        assert nonsingular_structure_check(a, part, 0.0).singular_blocks == (1, 2, 3)
 
     def test_six_example_singular(self, six):
         a, part = six
