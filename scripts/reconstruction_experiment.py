@@ -42,7 +42,7 @@ def orbit_chains(a, h):
     rot = hc.omega(h)
     used = [False] * len(w)
     order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), cmath.phase(w[i])))
-    rights, lefts, spectrum = [], [], []
+    rights, lefts = [], []
     for idx in order:
         if used[idx]:
             continue
@@ -54,8 +54,7 @@ def orbit_chains(a, h):
             used[pick] = True
         rights.append(hc.JordanChain(complex(lam), "right", (v[:, idx],)))
         lefts.append(hc.JordanChain(complex(lam), "left", (vinv[idx],)))
-        spectrum.append((complex(lam), 1))
-    return rights, lefts, spectrum
+    return rights, lefts
 
 
 def main():
@@ -70,8 +69,8 @@ def main():
     worst = 0.0
     for trial in range(args.trials):
         a, part = random_instance(rng, args.h, args.block_size)
-        rights, lefts, spectrum = orbit_chains(a, args.h)
-        rebuilt = hc.reconstruct_from_chains(rights, lefts, spectrum, part)
+        rights, lefts = orbit_chains(a, args.h)
+        rebuilt = hc.reconstruct_from_chains(rights, lefts, part)
         err = float(np.max(np.abs(rebuilt - a)))
         worst = max(worst, err)
         print(f"trial {trial:2d}: n={a.shape[0]}, max entry error {err:.3e}")

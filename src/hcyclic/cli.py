@@ -256,21 +256,6 @@ def _cmd_check(args) -> dict:
 
 
 def _cmd_circulant(args) -> dict:
-    chosen = [
-        name
-        for name, value in (
-            ("--recognize", args.recognize),
-            ("--from-reference", args.from_reference),
-            ("--basic", args.basic),
-            ("--ck", args.ck),
-            ("--w", args.w),
-        )
-        if value is not None
-    ]
-    if len(chosen) != 1:
-        raise ValueError(
-            "pass exactly one of --recognize, --from-reference, --basic, --ck, --w"
-        )
     if args.recognize is not None:
         ref = recognize_circulant(_load_matrix(args.recognize), args.tol)
         return {"reference": ref}
@@ -340,15 +325,23 @@ def _cmd_reconstruct(args) -> dict:
     part = partition_from_json(_load_json(args.partition))
     if not isinstance(data, dict) or not isinstance(data.get("orbits"), list):
         raise ValueError('reconstruct input must be {"orbits": [...]}')
-    spectrum = []
     rights = []
     lefts = []
-    for entry in data["orbits"]:
-        lam = _pairs_from_json([entry["eigenvalue"]], "orbit eigenvalue")[0]
-        spectrum.append((lam, _json_int(entry["length"], "orbit length")))
-        rights.append(chain_from_json(entry["right"]))
+    for number, entry in enumerate(data["orbits"], start=1):
+        if not isinstance(entry, dict):
+            raise ValueError(f"orbit {number} must be an object")
+        for key in ("eigenvalue", "length", "right", "left"):
+            if key not in entry:
+                raise ValueError(f"orbit {number} has no {key!r}")
+        lam = _pairs_from_json([entry["eigenvalue"]], f"orbit {number} eigenvalue")[0]
+        length = _json_int(entry["length"], f"orbit {number} length")
+        right = chain_from_json(entry["right"])
         lefts.append(chain_from_json(entry["left"]))
-    a = reconstruct_from_chains(rights, lefts, spectrum, part, args.tol)
+        # The library reads each orbit from its right chain.
+        if right.eigenvalue != lam or right.length != length:
+            raise ValueError(f"orbit {number}: eigenvalue or length differs from its right chain")
+        rights.append(right)
+    a = reconstruct_from_chains(rights, lefts, part, args.tol)
     return {"matrix": _matrix_fields(a)}
 
 
@@ -392,11 +385,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--partition", required=True)
 
     p = add("circulant", _cmd_circulant, "circulant constructions and recognition")
-    p.add_argument("--recognize", help="matrix JSON file to test for circulant structure")
-    p.add_argument("--from-reference", dest="from_reference", help="vector JSON file")
-    p.add_argument("--basic", type=int, help="order of the basic circulant K_n")
-    p.add_argument("--ck", type=int, nargs=2, metavar=("H", "K"), help="root-of-unity circulant C_k")
-    p.add_argument(
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--recognize", help="matrix JSON file to test for circulant structure")
+    mode.add_argument("--from-reference", dest="from_reference", help="vector JSON file")
+    mode.add_argument("--basic", type=int, help="order of the basic circulant K_n")
+    mode.add_argument("--ck", type=int, nargs=2, metavar=("H", "K"), help="root-of-unity circulant C_k")
+    mode.add_argument(
         "--w", type=int, nargs=4, metavar=("H", "K", "ELL", "VARIANT"),
         help="rank-one root-of-unity product (variant 1 or 2)",
     )

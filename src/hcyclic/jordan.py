@@ -37,7 +37,6 @@ from .matrix_core import (
     DEFAULT_TOL,
     NumericalError,
     _finite,
-    _json_int,
     _pairs_from_json,
     _pairs_to_json,
     _threshold,
@@ -80,9 +79,9 @@ class JordanChain:
     def __post_init__(self):
         if self.orientation not in ("right", "left"):
             raise ValueError(f"orientation must be 'right' or 'left', got {self.orientation!r}")
-        if not self.vectors:
-            raise ValueError("a Jordan chain needs at least one vector")
         vecs = tuple(as_complex_vector(v).copy() for v in self.vectors)
+        if not vecs:
+            raise ValueError("a Jordan chain needs at least one vector")
         order = vecs[0].size
         for v in vecs:
             if v.size != order:
@@ -357,19 +356,18 @@ def zero_chains_all(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> ZeroC
 def reconstruct_from_chains(
     right_chains,
     left_chains,
-    spectrum,
     part: CyclicPartition,
     tol: float = DEFAULT_TOL,
 ) -> np.ndarray:
     """Assemble the h-cyclic matrix determined by rotation-symmetric chains.
 
     Args:
-        right_chains: one base right chain per base eigenvalue.
+        right_chains: one base right chain per root-of-unity orbit; at each
+            lam*w^k the orbit has a Jordan block of the chain's length, lam
+            the chain's eigenvalue.
         left_chains: the matching base left chains (rows of the inverse
-            similarity, in S J S^{-1} order).
-        spectrum: list of ``(eigenvalue, chain_length)`` pairs, one per
-            base eigenvalue, with integer lengths; the full spectrum is
-            the union of the root-of-unity orbits of these.
+            similarity, in S J S^{-1} order), at the same eigenvalues and
+            of the same lengths.
         part: target partition; h and the class blocks drive the rotations.
         tol: residual threshold for the biorthogonality hypothesis.
 
@@ -381,25 +379,22 @@ def reconstruct_from_chains(
     product S J S^{-1}; entries that overflow the float range, or a
     deviation from that product, raise NumericalError.
     """
-    specs = [(complex(lam), _json_int(p, "chain length")) for lam, p in spectrum]
     rights = list(right_chains)
     lefts = list(left_chains)
-    if not (len(specs) == len(rights) == len(lefts)):
-        raise ValueError("spectrum, right_chains, and left_chains must align one-to-one")
-    if not specs:
+    if len(rights) != len(lefts):
+        raise ValueError("right_chains and left_chains must align one-to-one")
+    if not rights:
         raise ValueError("need at least one base eigenvalue")
     h = part.h
     n = part.n
-    for (lam, p), rc, lc in zip(specs, rights, lefts):
-        if p < 1:
-            raise ValueError(f"chain length must be positive, got {p}")
+    for rc, lc in zip(rights, lefts):
         if rc.orientation != "right" or lc.orientation != "left":
             raise ValueError("chain orientations must be (right, left) per eigenvalue")
-        if rc.length != p or lc.length != p:
-            raise ValueError(f"chains for eigenvalue {lam} must both have length {p}")
+        if lc.eigenvalue != rc.eigenvalue or lc.length != rc.length:
+            raise ValueError(f"left chain at {lc.eigenvalue} does not match its right chain")
         if rc.order != n or lc.order != n:
             raise ValueError("chain vectors must match the partition order")
-    total = h * sum(p for _, p in specs)
+    total = h * sum(rc.length for rc in rights)
     if total != n:
         raise ValueError(
             f"rotated chain system has {total} vectors but the matrix order is {n}"
@@ -407,7 +402,8 @@ def reconstruct_from_chains(
 
     s, y, j_full = (np.zeros((n, n), dtype=complex) for _ in range(3))
     pos = 0
-    for (lam, p), rc, lc in zip(specs, rights, lefts):
+    for rc, lc in zip(rights, lefts):
+        lam, p = rc.eigenvalue, rc.length
         right, left = np.array(rc.vectors), np.array(lc.vectors)
         for k in range(h):
             s[:, pos:pos + p] = _rotated(right, part, k, "right").T
@@ -425,7 +421,8 @@ def reconstruct_from_chains(
 
     mask = _block_mask(part)
     out = np.zeros((n, n), dtype=complex)
-    for (lam, p), rc, lc in zip(specs, rights, lefts):
+    for rc, lc in zip(rights, lefts):
+        lam, p = rc.eigenvalue, rc.length
         eigen_part = np.zeros((n, n), dtype=complex)
         for j in range(p):
             eigen_part += np.outer(rc.vectors[j], lc.vectors[j])

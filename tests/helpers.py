@@ -17,6 +17,7 @@ reconstruction those of its parts.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import json
 import math
@@ -27,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from hcyclic import CyclicPartition, Digraph, assemble_blocks, matrix_rank
+from hcyclic import CyclicPartition, Digraph, JordanChain, assemble_blocks, matrix_rank, omega
 
 
 def six_matrix() -> np.ndarray:
@@ -130,6 +131,32 @@ def random_block_cycle(rng, h=None, max_size=5, equal_sizes=False, nonsingular=F
         a = assemble_blocks(blocks)
         if not nonsingular or np.linalg.matrix_rank(a) == a.shape[0]:
             return a, consecutive_partition(sizes)
+
+
+def eigen_orbit_chains(a, h: int) -> tuple[list[JordanChain], list[JordanChain]]:
+    """Base right and left eigenvector chains of a diagonalizable h-cyclic
+    ``a``, one pair per root-of-unity orbit of its spectrum, taken from
+    ``np.linalg.eig``; each orbit is checked to be whole to 1e-6."""
+    w, v = np.linalg.eig(a)
+    vinv = np.linalg.inv(v)
+    used = [False] * len(w)
+    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), cmath.phase(w[i])))
+    rot = omega(h)
+    rights, lefts = [], []
+    for idx in order:
+        if used[idx]:
+            continue
+        lam = w[idx]
+        used[idx] = True
+        for k in range(1, h):
+            target = lam * rot**k
+            free = [j for j in range(len(w)) if not used[j]]
+            j = min(free, key=lambda jj: abs(w[jj] - target))
+            assert abs(w[j] - target) <= 1e-6
+            used[j] = True
+        rights.append(JordanChain(complex(lam), "right", (v[:, idx],)))
+        lefts.append(JordanChain(complex(lam), "left", (vinv[idx],)))
+    return rights, lefts
 
 
 @lru_cache(maxsize=None)

@@ -216,32 +216,13 @@ def test_criterion_9_reconstruction():
     part = CyclicPartition(2, ((1, 2), (3, 4)))
     right = JordanChain(0j, "right", (s[:, 0], s[:, 1]))
     left = JordanChain(0j, "left", (sinv[0], sinv[1]))
-    rebuilt = reconstruct_from_chains([right], [left], [(0j, 2)], part)
+    rebuilt = reconstruct_from_chains([right], [left], part)
     assert np.max(np.abs(rebuilt - s @ j @ sinv)) <= 1e-12
     assert is_h_cyclic(rebuilt, part)
 
     rng = np.random.default_rng(46)
-    rot = omega(3)
     for _ in range(25):
         a, part = helpers.random_block_cycle(rng, h=3, nonsingular=True, max_size=3)
-        w, v = np.linalg.eig(a)
-        vinv = np.linalg.inv(v)
-        used = [False] * len(w)
-        order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), cmath.phase(w[i])))
-        rights, lefts, spectrum = [], [], []
-        for idx in order:
-            if used[idx]:
-                continue
-            lam = w[idx]
-            used[idx] = True
-            for k in range(1, 3):
-                target = lam * rot**k
-                free = [jj for jj in range(len(w)) if not used[jj]]
-                pick = min(free, key=lambda jj: abs(w[jj] - target))
-                assert abs(w[pick] - target) <= 1e-6
-                used[pick] = True
-            rights.append(JordanChain(complex(lam), "right", (v[:, idx],)))
-            lefts.append(JordanChain(complex(lam), "left", (vinv[idx],)))
-            spectrum.append((complex(lam), 1))
-        rebuilt = reconstruct_from_chains(rights, lefts, spectrum, part)
+        rights, lefts = helpers.eigen_orbit_chains(a, part.h)
+        rebuilt = reconstruct_from_chains(rights, lefts, part)
         assert np.max(np.abs(rebuilt - a)) <= 1e-6

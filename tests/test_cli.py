@@ -223,8 +223,15 @@ class TestSubcommands:
         wm = matrix_from_json(json.loads(out)["matrix"])
         assert np.max(np.abs(wm - ck)) <= 1e-12
 
-        code, _, err = run_cli(capsys, ["circulant", "--basic", "3", "--ck", "2", "1"])
-        assert code == 2 and "exactly one" in err
+        # Exactly one mode: argparse refuses two, or none, with exit 2.
+        for modes, message in [
+            (["--basic", "3", "--ck", "2", "1"], "argument --ck: not allowed with argument --basic"),
+            ([], "one of the arguments --recognize --from-reference --basic --ck --w is required"),
+        ]:
+            with pytest.raises(SystemExit) as exit_info:
+                main(["circulant", *modes])
+            assert exit_info.value.code == 2
+            assert message in capsys.readouterr().err
 
     def test_rotate_chain(self, capsys, files):
         code, out, _ = run_cli(
@@ -295,6 +302,31 @@ class TestSubcommands:
         expected[0, 3] = 1
         expected[2, 1] = 1
         assert np.max(np.abs(a - expected)) <= 1e-12
+
+
+    @settings(max_examples=25)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_reconstruct_round_trip(self, tmp_path_factory, seed):
+        # A random nonsingular 3-cyclic matrix, rebuilt through the CLI from
+        # one base eigenvector pair per root-of-unity orbit.
+        a, part = helpers.random_block_cycle(
+            np.random.default_rng(seed), h=3, nonsingular=True, max_size=3
+        )
+        rights, lefts = helpers.eigen_orbit_chains(a, part.h)
+        orbits = [
+            {"eigenvalue": [right.eigenvalue.real, right.eigenvalue.imag], "length": 1,
+             "right": chain_to_json(right), "left": chain_to_json(left)}
+            for right, left in zip(rights, lefts)
+        ]
+        folder = tmp_path_factory.mktemp("reconstruct")
+        (folder / "orbits.json").write_text(json.dumps({"orbits": orbits}))
+        (folder / "part.json").write_text(json.dumps(partition_to_json(part)))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["reconstruct", "--orbits", str(folder / "orbits.json"),
+                         "--partition", str(folder / "part.json")]) == 0
+        rebuilt = matrix_from_json(json.loads(out.getvalue())["matrix"])
+        assert np.max(np.abs(rebuilt - a)) <= 1e-6
 
 
 class TestExitCodes:
@@ -523,6 +555,55 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, self._reconstruct_argv(files, right, left))
         assert code == 2 and out == ""
         assert "not biorthonormal" in err
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ([1, 0], "orbit 2 must be an object"),
+            ({"length": 1, "right": {}, "left": {}}, "orbit 2 has no 'eigenvalue'"),
+            ({"eigenvalue": [1, 0], "right": {}, "left": {}}, "orbit 2 has no 'length'"),
+            ({"eigenvalue": [1, 0], "length": 1, "left": {}}, "orbit 2 has no 'right'"),
+            ({"eigenvalue": [1, 0], "length": 1, "right": {}}, "orbit 2 has no 'left'"),
+        ],
+        ids=["list", "no-eigenvalue", "no-length", "no-right", "no-left"],
+    )
+    def test_malformed_orbit_entry_is_named(self, capsys, files, entry, message):
+        good = json.loads(Path(files["orbits"]).read_text())["orbits"][0]
+        orbits = files["write"]("entries.json", {"orbits": [good, entry]})
+        argv = ["reconstruct", "--orbits", orbits, "--partition", files["bip_part"]]
+        assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("eigenvalue", [5.0, 0.0]), ("eigenvalue", [0.0, 1e-300]), ("length", 1), ("length", 3)],
+        ids=["eigenvalue", "eigenvalue-tiny", "length-short", "length-long"],
+    )
+    def test_orbit_must_agree_with_its_right_chain(self, capsys, files, field, value):
+        # The entry's eigenvalue and length are those of its right chain.
+        doc = json.loads(Path(files["orbits"]).read_text())
+        doc["orbits"][0][field] = value
+        orbits = files["write"]("disagree.json", doc)
+        argv = ["reconstruct", "--orbits", orbits, "--partition", files["bip_part"]]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert "orbit 1: eigenvalue or length differs from its right chain" in err
+
+    def test_left_chain_at_another_eigenvalue_is_validation_error(self, capsys, files):
+        # An entry that agrees with its right chain, beside a left chain
+        # at another eigenvalue, builds nothing.
+        part = files["write"]("pair.json", {"h": 2, "classes": [[1], [2]]})
+        def chain(orientation, eigenvalue, entry):
+            return {"eigenvalue": [eigenvalue, 0.0], "orientation": orientation,
+                    "vectors": [[[entry, 0.0], [entry, 0.0]]]}
+
+        # Rotated, (1, 1) and (0.5, 0.5) give a Gram matrix of exactly I.
+        orbits = files["write"]("apart.json", {"orbits": [{
+            "eigenvalue": [1.0, 0.0], "length": 1,
+            "right": chain("right", 1.0, 1.0), "left": chain("left", -7.0, 0.5),
+        }]})
+        code, out, err = run_cli(capsys, ["reconstruct", "--orbits", orbits, "--partition", part])
+        assert (code, out) == (2, "")
+        assert "does not match its right chain" in err
 
     @staticmethod
     def _reconstruct_argv(files, right, left):

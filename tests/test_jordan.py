@@ -1,5 +1,3 @@
-import cmath
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -79,6 +77,18 @@ def left_eigen_chain(a, lam):
     w, v = np.linalg.eig(a.T)
     idx = int(np.argmin(np.abs(w - lam)))
     return JordanChain(complex(w[idx]), "left", (v[:, idx],))
+
+
+class TestJordanChain:
+    def test_rows_of_a_two_dimensional_array(self):
+        chain = JordanChain(2.0, "right", np.arange(6.0).reshape(2, 3))
+        assert (chain.length, chain.order) == (2, 3)
+        assert np.array_equal(chain.vectors[1], [3.0, 4.0, 5.0])
+
+    @pytest.mark.parametrize("vectors", [(), [], np.zeros((0, 3))])
+    def test_no_vectors_rejected(self, vectors):
+        with pytest.raises(ValueError, match="needs at least one vector"):
+            JordanChain(0j, "right", vectors)
 
 
 class TestVerifyChain:
@@ -527,7 +537,7 @@ class TestReconstruct:
         part = CyclicPartition(2, ((1, 2), (3, 4)))
         right = JordanChain(0j, "right", (s[:, 0], s[:, 1]))
         left = JordanChain(0j, "left", (sinv[0], sinv[1]))
-        a = reconstruct_from_chains([right], [left], [(0j, 2)], part)
+        a = reconstruct_from_chains([right], [left], part)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 3] = 1
         expected[2, 1] = 1
@@ -542,7 +552,7 @@ class TestReconstruct:
         part = CyclicPartition(2, ((1, 2), (3, 4)))
         right = JordanChain(0j, "right", (s[:, 0], s[:, 1]))
         left = JordanChain(0j, "left", (sinv[0], sinv[1]))
-        a = reconstruct_from_chains([right], [left], [(0j, 2)], part, tol=0.0)
+        a = reconstruct_from_chains([right], [left], part, tol=0.0)
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 3] = 1
         expected[2, 1] = 1
@@ -557,15 +567,15 @@ class TestReconstruct:
         part = CyclicPartition(1, ((1, 2),))
         right = JordanChain(lam, "right", (s[:, 0], s[:, 1]))
         left = JordanChain(lam, "left", (sinv[0], sinv[1]))
-        a = reconstruct_from_chains([right], [left], [(lam, 2)], part)
+        a = reconstruct_from_chains([right], [left], part)
         expected = s @ jordan_block(2, lam) @ sinv
         assert np.max(np.abs(a - expected)) <= 1e-9
 
     def test_random_three_cyclic_round_trip(self, rng):
         for _ in range(5):
             a, part = helpers.random_block_cycle(rng, h=3, nonsingular=True, max_size=3)
-            rights, lefts, spectrum = _eigen_orbit_data(a, part.h)
-            rec = reconstruct_from_chains(rights, lefts, spectrum, part)
+            rights, lefts = helpers.eigen_orbit_chains(a, part.h)
+            rec = reconstruct_from_chains(rights, lefts, part)
             assert np.max(np.abs(rec - a)) <= 1e-6
 
     def test_wrong_total_length_rejected(self, rng):
@@ -573,7 +583,7 @@ class TestReconstruct:
         right = JordanChain(1.0, "right", (np.ones(4),))
         left = JordanChain(1.0, "left", (np.ones(4),))
         with pytest.raises(ValueError):
-            reconstruct_from_chains([right], [left], [(1.0, 1)], part)
+            reconstruct_from_chains([right], [left], part)
 
     def test_broken_biorthogonality_rejected(self):
         s, _ = self.bipartite_example()
@@ -582,20 +592,34 @@ class TestReconstruct:
         # A left chain unrelated to S^{-1} cannot assemble to a similarity.
         left = JordanChain(0j, "left", (np.ones(4), np.arange(1.0, 5.0)))
         with pytest.raises(ValueError):
-            reconstruct_from_chains([right], [left], [(0j, 2)], part)
+            reconstruct_from_chains([right], [left], part)
 
     def test_orientation_validation(self):
         part = CyclicPartition(2, ((1, 2), (3, 4)))
         right = JordanChain(1.0, "right", (np.ones(4), np.zeros(4)))
         with pytest.raises(ValueError):
-            reconstruct_from_chains([right], [right], [(1.0, 2)], part)
+            reconstruct_from_chains([right], [right], part)
+
+    @pytest.mark.parametrize(
+        "eigenvalue, vectors",
+        [(1.0 + 1e-16j, (np.ones(4),)), (1.0, (np.ones(4), np.zeros(4)))],
+        ids=["eigenvalue", "length"],
+    )
+    def test_left_chain_must_match_right_chain(self, eigenvalue, vectors):
+        # The orbit's eigenvalue and length come from its right chain; a
+        # left chain that says otherwise is refused however close it is.
+        part = CyclicPartition(2, ((1, 2), (3, 4)))
+        right = JordanChain(1.0, "right", (np.ones(4),))
+        left = JordanChain(eigenvalue, "left", vectors)
+        with pytest.raises(ValueError, match="does not match its right chain"):
+            reconstruct_from_chains([right], [left], part)
 
     @staticmethod
-    def scaled_pair(right, left, length=1):
+    def scaled_pair(right, left):
         part = CyclicPartition(2, ((1,), (2,)))
         chains = (JordanChain(1.0, "right", (np.array(right),)),
                   JordanChain(1.0, "left", (np.array(left),)))
-        return reconstruct_from_chains([chains[0]], [chains[1]], [(1.0, length)], part)
+        return reconstruct_from_chains([chains[0]], [chains[1]], part)
 
     @pytest.mark.parametrize(
         "right, left",
@@ -609,38 +633,6 @@ class TestReconstruct:
     def test_scale_separated_exact_pair(self):
         a = self.scaled_pair((1e100, 1e-200), (0.5e-100, 0.5e200))
         assert a.tolist() == [[0, 1e300], [1e-300, 0]]
-
-    @pytest.mark.parametrize("length", [1.5, 1.0, True])
-    def test_non_integer_length_rejected(self, length):
-        with pytest.raises(ValueError, match="must be an integer"):
-            self.scaled_pair((1e100, 1e-200), (0.5e-100, 0.5e200), length)
-
-
-def _eigen_orbit_data(a, h):
-    """Group the spectrum into root-of-unity orbits and return base
-    chains taken from an eigendecomposition."""
-    w, v = np.linalg.eig(a)
-    vinv = np.linalg.inv(v)
-    used = [False] * len(w)
-    order = sorted(range(len(w)), key=lambda i: (-abs(w[i]), cmath.phase(w[i])))
-    rot = omega(h)
-    rights, lefts, spectrum = [], [], []
-    for idx in order:
-        if used[idx]:
-            continue
-        lam = w[idx]
-        used[idx] = True
-        for k in range(1, h):
-            target = lam * rot**k
-            free = [j for j in range(len(w)) if not used[j]]
-            j = min(free, key=lambda jj: abs(w[jj] - target))
-            assert abs(w[j] - target) <= 1e-6
-            used[j] = True
-        rights.append(JordanChain(complex(lam), "right", (v[:, idx],)))
-        lefts.append(JordanChain(complex(lam), "left", (vinv[idx],)))
-        spectrum.append((complex(lam), 1))
-    return rights, lefts, spectrum
-
 
 class TestChainJson:
     def test_round_trip(self, rng):

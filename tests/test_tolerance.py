@@ -65,7 +65,6 @@ CALLS = {
     "reconstruct_from_chains": lambda tol: reconstruct_from_chains(
         [JordanChain(0j, "right", (S[:, 0], S[:, 1]))],
         [JordanChain(0j, "left", (SINV[0], SINV[1]))],
-        [(0j, 2)],
         CyclicPartition(1, ((1, 2),)),
         tol,
     ),
