@@ -335,12 +335,14 @@ def _cmd_reconstruct(args) -> dict:
                 raise ValueError(f"orbit {number} has no {key!r}")
         lam = _pairs_from_json([entry["eigenvalue"]], f"orbit {number} eigenvalue")[0]
         length = _json_int(entry["length"], f"orbit {number} length")
-        right = chain_from_json(entry["right"])
-        lefts.append(chain_from_json(entry["left"]))
+        for side, chains in (("right", rights), ("left", lefts)):
+            try:
+                chains.append(chain_from_json(entry[side]))
+            except ValueError as exc:
+                raise ValueError(f"orbit {number} {side}: {exc}") from exc
         # The library reads each orbit from its right chain.
-        if right.eigenvalue != lam or right.length != length:
+        if rights[-1].eigenvalue != lam or rights[-1].length != length:
             raise ValueError(f"orbit {number}: eigenvalue or length differs from its right chain")
-        rights.append(right)
     a = reconstruct_from_chains(rights, lefts, part, args.tol)
     return {"matrix": _matrix_fields(a)}
 

@@ -573,6 +573,14 @@ class TestExitCodes:
         argv = ["reconstruct", "--orbits", orbits, "--partition", files["bip_part"]]
         assert run_cli(capsys, argv) == (2, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize("side", ["right", "left"])
+    def test_malformed_chain_names_its_orbit_and_side(self, capsys, files, side):
+        good = json.loads(Path(files["orbits"]).read_text())["orbits"][0]
+        orbits = files["write"]("chains.json", {"orbits": [good, {**good, side: {}}]})
+        argv = ["reconstruct", "--orbits", orbits, "--partition", files["bip_part"]]
+        message = f"error: orbit 2 {side}: malformed chain JSON: missing 'eigenvalue'\n"
+        assert run_cli(capsys, argv) == (2, "", message)
+
     @pytest.mark.parametrize(
         "field, value",
         [("eigenvalue", [5.0, 0.0]), ("eigenvalue", [0.0, 1e-300]), ("length", 1), ("length", 3)],

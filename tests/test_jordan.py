@@ -15,6 +15,7 @@ from hcyclic import (
     chain_to_json,
     embed_null_vector,
     extract_blocks,
+    is_h_cyclic,
     jordan_block,
     omega,
     partial_product,
@@ -571,12 +572,18 @@ class TestReconstruct:
         expected = s @ jordan_block(2, lam) @ sinv
         assert np.max(np.abs(a - expected)) <= 1e-9
 
-    def test_random_three_cyclic_round_trip(self, rng):
+    @pytest.mark.parametrize("h", [2, 3, 4, 5])
+    def test_random_round_trip(self, rng, h):
+        # h = 4 has exact quarter-turn roots of unity, h = 5 does not.
         for _ in range(5):
-            a, part = helpers.random_block_cycle(rng, h=3, nonsingular=True, max_size=3)
+            a, part = helpers.random_block_cycle(rng, h=h, nonsingular=True, max_size=3)
             rights, lefts = helpers.eigen_orbit_chains(a, part.h)
             rec = reconstruct_from_chains(rights, lefts, part)
             assert np.max(np.abs(rec - a)) <= 1e-6
+            assert is_h_cyclic(rec, part, 0.0)
+            # Every entry off the pattern is +0, never a -0 that renders "-0".
+            off = rec[~_block_mask(part)]
+            assert not np.any(np.signbit(off.real) | np.signbit(off.imag))
 
     def test_wrong_total_length_rejected(self, rng):
         part = CyclicPartition(2, ((1, 2), (3, 4)))
