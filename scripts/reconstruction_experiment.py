@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Round-trip experiment: eigendecompose random nonsingular h-cyclic
-matrices, keep one base chain per root-of-unity orbit, rebuild the matrix
-from those chains alone, and report the reconstruction error.  Exits 1
-when the worst entry error exceeds MAX_ERROR."""
+matrices, their vertices relabelled by a random permutation so that the
+classes are not consecutive, keep one base chain per root-of-unity orbit,
+rebuild the matrix from those chains alone, and report the reconstruction
+error.  Exits 1 when the worst entry error exceeds MAX_ERROR."""
 
 import argparse
 import cmath
@@ -33,7 +34,9 @@ def random_instance(rng, h, m):
             classes = tuple(
                 tuple(range(i * m + 1, (i + 1) * m + 1)) for i in range(h)
             )
-            return a, hc.CyclicPartition(h, classes)
+            sigma = rng.permutation(h * m) + 1
+            return (hc.apply_vertex_permutation(a, sigma),
+                    hc.permute_partition(hc.CyclicPartition(h, classes), sigma))
 
 
 def orbit_chains(a, h):

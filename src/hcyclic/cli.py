@@ -7,10 +7,10 @@ fixed, so output is byte-stable across runs.  Matrix data, chain vectors,
 seeds, orbits and references are rendered from complex arrays, one format
 call per array, and the circulants of ``circulant`` from their first row;
 the text is byte for byte that of rendering each float alone.  Exit
-codes: 0 success, 2 validation problem (malformed input, numbers not
-representable as finite floats, dimension or partition mismatch), 1
-internal numerical failure (including overflow of products and powers of
-valid input).
+codes: 0 success, 2 a ValueError or OSError (malformed input, numbers not
+representable as finite floats, dimension or partition mismatch), 1 a
+NumericalError (including overflow of products and powers of valid
+input); any other exception is a bug and propagates.
 
 Each call of :func:`main` runs with the cyclic garbage collector paused
 and restores the caller's collector state on the way out.  Unpaused, the
@@ -430,7 +430,7 @@ def main(argv=None) -> int:
             except NumericalError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-            except (ValueError, TypeError, KeyError, IndexError, OSError) as exc:
+            except (ValueError, OSError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 2
             print(render_json(result))

@@ -19,8 +19,8 @@ Rotation
 For an h-cyclic matrix, scaling class block i of chain vector j by
 (w^k)^((i-j) mod h) (right chains; (j-i) mod h for left chains) turns a
 chain at lam into a chain at lam*w^k, where w = exp(2*pi*i/h).
-Conversely, chain families with exactly that symmetry assemble into a
-similarity S J S^{-1} that is h-cyclic: :func:`reconstruct_from_chains`.
+Conversely, base chains whose rotated families are biorthonormal
+determine an h-cyclic matrix: :func:`reconstruct_from_chains`.
 """
 
 from __future__ import annotations
@@ -372,23 +372,20 @@ def reconstruct_from_chains(
         part: target partition; h and the class blocks drive the rotations.
         tol: residual threshold for the biorthogonality hypothesis.
 
-    The rotated families of the supplied chains must assemble into a
-    similarity (all rotated left rows against all rotated right columns
-    multiply to the identity); otherwise the symmetry hypotheses fail and
-    a ValueError is raised.  The result is S J S^{-1} with every entry off
-    the cycle pattern set to zero, so it is exactly h-cyclic.  Entries
-    that overflow the float range, or an entry off the pattern above
-    ``tol * max(1, ||S||_inf ||J||_inf ||S^{-1}||_inf)``, raise
-    NumericalError.
+    The rotated families must be biorthonormal, which holds iff
+    h Y_c X_c^T = I on every class c, X_c and Y_c the class-c entries of
+    the stacked base right and left vectors; else ValueError.  The result,
+    S J S^{-1} of the rotated families, is h X^T J_0 Y (J_0 the base Jordan
+    blocks) on the cycle pattern and zero off it.  A synthesized entry
+    beyond the float range, or a residual above ``tol`` whose scale
+    h |Y_c| |X_c|^T overflows, raises NumericalError.
     """
-    rights = list(right_chains)
-    lefts = list(left_chains)
+    rights, lefts = list(right_chains), list(left_chains)
     if len(rights) != len(lefts):
         raise ValueError("right_chains and left_chains must align one-to-one")
     if not rights:
         raise ValueError("need at least one base eigenvalue")
-    h = part.h
-    n = part.n
+    h, n = part.h, part.n
     for rc, lc in zip(rights, lefts):
         if rc.orientation != "right" or lc.orientation != "left":
             raise ValueError("chain orientations must be (right, left) per eigenvalue")
@@ -398,39 +395,38 @@ def reconstruct_from_chains(
             raise ValueError("chain vectors must match the partition order")
     total = h * sum(rc.length for rc in rights)
     if total != n:
-        raise ValueError(
-            f"rotated chain system has {total} vectors but the matrix order is {n}"
-        )
+        raise ValueError(f"rotated chain system has {total} vectors but the matrix order is {n}")
 
-    s, y, j_full = (np.zeros((n, n), dtype=complex) for _ in range(3))
+    # Row r of x, y and j0 belongs to vector j of one orbit.
+    x, y = (np.array([v for c in chains for v in c.vectors]) for chains in (rights, lefts))
+    j0 = np.zeros((len(x), len(x)), dtype=complex)
     pos = 0
-    for rc, lc in zip(rights, lefts):
-        lam, p = rc.eigenvalue, rc.length
-        right, left = np.array(rc.vectors), np.array(lc.vectors)
-        for k in range(h):
-            s[:, pos:pos + p] = _rotated(right, part, k, "right").T
-            y[pos:pos + p] = _rotated(left, part, k, "left")
-            j_full[pos:pos + p, pos:pos + p] = jordan_block(p, lam * omega_pow(h, k, 1))
-            pos += p
-    gram = y @ s
-    resid = float(np.max(np.abs(gram - np.eye(n))))
-    # The largest entry of |Y| |S| bounds the rounding of every Gram entry.
-    if not math.isfinite(resid) or resid > _threshold(tol, float(np.max(np.abs(y) @ np.abs(s)))):
+    for rc in rights:
+        j0[pos:pos + rc.length, pos:pos + rc.length] = jordan_block(rc.length, rc.eigenvalue)
+        pos += rc.length
+    # Left vector j' rotated by w^k' meets right vector j rotated by w^k on
+    # class c with the factor w^(k'j' - kj) w^((k - k')c); summed over c,
+    # that is the identity for all k, k' iff h Y_c X_c^T = I for every c.
+    blocks = [(y[:, np.asarray(cls) - 1], x[:, np.asarray(cls) - 1]) for cls in part.classes]
+    resid = float(np.max([np.abs(h * (yc @ xc.T) - np.eye(len(x))) for yc, xc in blocks]))
+    # h |Y_c| |X_c|^T bounds the rounding; it is inf, or nan from inf * 0,
+    # where a modulus leaves the float range.  A residual within tol passes
+    # at any scale, and one above it cannot be judged against an overflow.
+    scale = h * float(np.max([np.abs(yc) @ np.abs(xc).T for yc, xc in blocks]))
+    thr = _threshold(tol, scale)
+    if math.isfinite(resid) and resid > tol and not math.isfinite(scale):
+        raise NumericalError("the scale of the Gram test overflowed the floating-point range")
+    if not math.isfinite(resid) or resid > thr:
         raise ValueError(
             f"rotated chain families are not biorthonormal (residual {resid:.3e}); "
             "the rotation-symmetry hypotheses do not hold"
         )
 
-    # A right vector in class i times a left one in class i' carries
-    # w^(k(i+1-i')) in the k-th rotated copy; the h copies cancel unless
-    # i' = i+1, so S J S^-1 is h-cyclic up to round-off off the pattern.
-    direct = _finite(s @ j_full @ y, "synthesized matrix")
-    mask = _block_mask(part)
-    off = float(np.max(np.abs(direct[~mask]), initial=0.0))
-    if off > _threshold(tol, norm_inf(s) * norm_inf(j_full) * norm_inf(y)):
-        raise NumericalError(f"S J S^-1 has an entry of modulus {off:.3e} off the cycle pattern")
+    # Summed over the h rotations, x_j (lam y_j + y_(j+1))^T gives h times
+    # the base term from class i to class i+1 and exactly 0 elsewhere.
+    synthesized = _finite(h * (x.T @ j0 @ y), "synthesized matrix")
     # A negative entry times False is -0.0; adding 0.0 makes it +0.0.
-    return hadamard(direct, mask) + 0.0
+    return hadamard(synthesized, _block_mask(part)) + 0.0
 
 
 def _chain_fields(chain: JordanChain) -> dict:

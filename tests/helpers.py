@@ -546,7 +546,7 @@ def _power_scale(base: float, p: int) -> float:
 def loop_threshold(tol: float, *scales: float, power: int = 1) -> float:
     """The zero threshold as each call site wrote it out by hand, picked by
     the shape of the call: no scale (arc and circulant tests), one scale
-    (rank and kernel pivots, the Gram and S J S^-1 tests of reconstruction),
+    (rank and kernel pivots, the per-class Gram test of reconstruction),
     one scale to a power (A^h blocks), two scales (chain recursion, kernel
     membership of a seed) and two scales with a power on the first (chain
     power form, zero-chain power iteration)."""

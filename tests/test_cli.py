@@ -68,8 +68,18 @@ REQUIRED_OPERATIONS = [
 
 @pytest.fixture
 def files(tmp_path):
+    return write_inputs(tmp_path)
+
+
+@pytest.fixture(scope="module")
+def module_files(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+def write_inputs(folder):
+    """The small input files, by name, and ``write`` to add one."""
     def write(name, payload):
-        path = tmp_path / name
+        path = folder / name
         path.write_text(json.dumps(payload))
         return str(path)
 
@@ -522,25 +532,39 @@ class TestExitCodes:
                               "vectors": [[[1.0, 0.0], [1.5e308, 1.5e308], [0.0, 1.0]]]}),
             ("rotate-chain", {"eigenvalue": [1.5e308, 1.5e308], "orientation": "right",
                               "vectors": [[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]]}),
-            # y_c x_c = 1/3 on every class c, but w = exp(2 pi i/3) takes
-            # 1.5e308 (1 + i) out of the float range.
-            ("reconstruct", {"orbits": [{
-                "eigenvalue": [1.0, 0.0], "length": 1,
-                "right": {"eigenvalue": [1.0, 0.0], "orientation": "right",
-                          "vectors": [[[1.0, 0.0], [1.5e308, 1.5e308], [1.0, 0.0]]]},
-                "left": {"eigenvalue": [1.0, 0.0], "orientation": "left",
-                         "vectors": [[[1 / 3, 0.0], [1 / 9e308, -1 / 9e308], [1 / 3, 0.0]]]},
-            }]}),
         ],
-        ids=["rotated-vector", "rotated-eigenvalue", "reconstruct-rotation"],
+        ids=["rotated-vector", "rotated-eigenvalue"],
     )
     def test_overflowing_rotation_is_numerical_failure(self, capsys, files, command, payload):
         part = files["write"]("three.json", {"h": 3, "classes": [[1], [2], [3]]})
         data = files["write"]("rotated.json", payload)
-        if command == "rotate-chain":
-            argv = [command, "--chain", data, "--partition", part, "--k", "1"]
-        else:
-            argv = [command, "--orbits", data, "--partition", part]
+        argv = [command, "--chain", data, "--partition", part, "--k", "1"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1 and out == ""
+        assert "error:" in err and "overflowed" in err and "Traceback" not in err
+
+    def test_reconstruct_rebuilds_where_a_rotated_copy_would_overflow(self, capsys, files):
+        # y_c x_c = 1/3 on every class c, and w = exp(2 pi i/3) would take
+        # 1.5e308 (1 + i) out of the float range; only the base chains are
+        # multiplied, so the matrix is rebuilt.
+        part = files["write"]("three.json", {"h": 3, "classes": [[1], [2], [3]]})
+        orbits = files["write"]("rotated.json", {"orbits": [{
+            "eigenvalue": [1.0, 0.0], "length": 1,
+            "right": {"eigenvalue": [1.0, 0.0], "orientation": "right",
+                      "vectors": [[[1.0, 0.0], [1.5e308, 1.5e308], [1.0, 0.0]]]},
+            "left": {"eigenvalue": [1.0, 0.0], "orientation": "left",
+                     "vectors": [[[1 / 3, 0.0], [1e-308 / 9, -1e-308 / 9], [1 / 3, 0.0]]]},
+        }]})
+        code, out, err = run_cli(capsys, ["reconstruct", "--orbits", orbits, "--partition", part])
+        assert code == 0 and err == ""
+        a = matrix_from_json(json.loads(out)["matrix"])
+        assert abs(a[0, 1] * a[1, 2] * a[2, 0] - 1) <= 1e-12
+
+    def test_reconstruct_overflowed_gram_scale_is_numerical_failure(self, capsys, files):
+        # The class-2 product is 1.5 + 1.5i where 1/2 is needed, and the
+        # modulus of 1.5e308 (1 + i) overflows, so the residual has no
+        # threshold to be judged against.
+        argv = self._reconstruct_argv(files, (1, 1.5e308 + 1.5e308j), (0.5, 1e-308))
         code, out, err = run_cli(capsys, argv)
         assert code == 1 and out == ""
         assert "error:" in err and "overflowed" in err and "Traceback" not in err
@@ -619,7 +643,7 @@ class TestExitCodes:
             return {
                 "eigenvalue": [1.0, 0.0],
                 "orientation": orientation,
-                "vectors": [[[x, 0.0] for x in entries]],
+                "vectors": [[[z.real, z.imag] for z in map(complex, entries)]],
             }
 
         orbits = files["write"](
@@ -737,6 +761,58 @@ EVERY_COMMAND = [
     ("weyr", "--matrix", "twelve"),
     ("reconstruct", "--orbits", "orbits", "--partition", "bip_part"),
 ]
+
+
+# Random JSON documents, with the keys of the input layouts among others.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 8) | st.sampled_from([2**63, 10**400])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(["rows", "cols", "data", "h", "classes", "eigenvalue", "orientation",
+                         "vectors", "orbits", "length", "right", "left"]) | st.text(max_size=3),
+        inner, max_size=4,
+    ),
+    max_leaves=10,
+)
+
+
+def spoil(data, doc):
+    """``doc`` with one node, found by walking down from the root, replaced
+    by a random JSON value."""
+    if isinstance(doc, (dict, list)) and doc and data.draw(st.booleans()):
+        key = data.draw(st.sampled_from(list(doc) if isinstance(doc, dict) else range(len(doc))))
+        spoiled = dict(doc) if isinstance(doc, dict) else list(doc)
+        spoiled[key] = spoil(data, doc[key])
+        return spoiled
+    return data.draw(json_values)
+
+
+class TestAnyJsonInput:
+    @settings(max_examples=300)
+    @given(data=st.data())
+    def test_exits_with_at_most_one_error_line(self, module_files, data):
+        # One input file of one subcommand (matrix, partition, chain,
+        # orbits or reference) holds random JSON, or its valid document
+        # with one node replaced; main returns an exit code and never
+        # raises.
+        command = data.draw(st.sampled_from(
+            [c for c in EVERY_COMMAND if any(arg in module_files for arg in c)]
+        ))
+        slot = data.draw(st.sampled_from(
+            [i for i, arg in enumerate(command) if arg in module_files]
+        ))
+        doc = json.loads(Path(module_files[command[slot]]).read_text())
+        argv = [module_files.get(arg, arg) for arg in command]
+        argv[slot] = module_files["write"]("fuzzed.json", spoil(data, doc))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+        else:
+            assert code in (1, 2) and out.getvalue() == ""
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestGarbageCollector:

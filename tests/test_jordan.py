@@ -19,6 +19,7 @@ from hcyclic import (
     jordan_block,
     omega,
     partial_product,
+    permute_partition,
     reconstruct_from_chains,
     rotate_left_chain,
     rotate_right_chain,
@@ -58,6 +59,31 @@ def noisy_block_cycles(draw):
     if noisy:
         a += NOISE_TOL * rng.uniform(0, 0.9) * rng.uniform(-1, 1, a.shape) * ~_block_mask(part)
     return a, part, noisy
+
+
+@st.composite
+def biorthonormal_chains(draw):
+    """Base right and left chains for h 2 to 5: one to three orbits of
+    length 1 to 3 at eigenvalues in the unit disk, and a partition with
+    its vertices relabelled.  On each class c, X_c has unit-disk entries
+    plus 2I and Y_c = X_c^-T / h, so h Y_c X_c^T = I."""
+    h = draw(st.integers(2, 5))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p = sum(lengths)
+    part = permute_partition(helpers.consecutive_partition([p] * h), rng.permutation(h * p) + 1)
+    x = np.zeros((p, h * p), dtype=complex)
+    y = np.zeros_like(x)
+    for cls in part.classes:
+        xc = helpers.unit_disk((p, p), rng) + 2 * np.eye(p)
+        x[:, np.asarray(cls) - 1] = xc
+        y[:, np.asarray(cls) - 1] = np.linalg.inv(xc).T / h
+    rights, lefts = [], []
+    for start, length in zip(np.cumsum([0] + lengths), lengths):
+        lam = complex(helpers.unit_disk((), rng))
+        rights.append(JordanChain(lam, "right", tuple(x[start:start + length])))
+        lefts.append(JordanChain(lam, "left", tuple(y[start:start + length])))
+    return rights, lefts, part
 
 
 def golden_zero_chain():
@@ -584,6 +610,39 @@ class TestReconstruct:
             # Every entry off the pattern is +0, never a -0 that renders "-0".
             off = rec[~_block_mask(part)]
             assert not np.any(np.signbit(off.real) | np.signbit(off.imag))
+
+    @settings(max_examples=200)
+    @given(case=biorthonormal_chains())
+    def test_biorthonormal_base_chains_rebuild_their_matrix(self, case):
+        # Defective orbits at every h and partitions that are not
+        # consecutive: every rotated chain is a chain of the result.
+        rights, lefts, part = case
+        a = reconstruct_from_chains(rights, lefts, part)
+        assert is_h_cyclic(a, part, 0.0)
+        for rc, lc in zip(rights, lefts):
+            for k in range(part.h):
+                assert verify_chain(a, rotate_right_chain(rc, part, k), 1e-7)
+                assert verify_chain(a, rotate_left_chain(lc, part, k), 1e-7)
+
+    @pytest.mark.parametrize("h", [3, 5])
+    def test_basic_circulant_exact_at_tol_zero(self, h):
+        # h * (1/h) rounds to 1 exactly, so the one-vertex classes pass the
+        # biorthonormality test at tol 0 although w is not exact.
+        part = CyclicPartition(h, tuple((i,) for i in range(1, h + 1)))
+        right = JordanChain(1.0, "right", (np.ones(h),))
+        left = JordanChain(1.0, "left", (np.full(h, 1 / h),))
+        a = reconstruct_from_chains([right], [left], part, tol=0.0)
+        assert np.array_equal(a, basic_circulant(h))
+
+    def test_overflowed_gram_scale_is_numerical(self):
+        # The class-2 product is 1.5 + 1.5i where 1/2 is needed; the
+        # modulus of 1.5e308 (1 + i) overflows, so the residual cannot be
+        # judged against its scale.
+        part = CyclicPartition(2, ((1,), (2,)))
+        right = JordanChain(1.0, "right", (np.array([1, 1.5e308 + 1.5e308j]),))
+        left = JordanChain(1.0, "left", (np.array([0.5, 1e-308]),))
+        with pytest.raises(NumericalError, match="overflowed"):
+            reconstruct_from_chains([right], [left], part)
 
     def test_wrong_total_length_rejected(self, rng):
         part = CyclicPartition(2, ((1, 2), (3, 4)))
