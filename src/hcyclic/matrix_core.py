@@ -22,11 +22,9 @@ The Weyr weights at zero of a Gaussian-integer A are exact: one
 elimination of [A | I] and a chain of kernels over two prime fields
 (:func:`_exact_weyr_weights`), with no power formed or ranked, and each
 nullity read in the fields proved over Q by an exact check of the lifted
-chain.  One the fields disagree on or the check refuses has, up to order
-_RATIONAL_ORDER, its ranks taken over Q by fraction-free elimination in
-Python integers (:func:`_rational_weyr_weights`).  Any other A has every
-power ranked in turn, and a rank sequence whose weights increase raises
-:class:`NumericalError`.
+chain.  Any other A, or one the fields disagree on or the check refuses,
+has every power ranked in turn, and a rank sequence whose weights
+increase raises :class:`NumericalError`.
 """
 
 from __future__ import annotations
@@ -250,7 +248,6 @@ _EXACT_ORDER = 500
 _PANEL = 32  # columns per panel of an elimination
 _MODULUS = 4244333 * 4244329
 _LIFT = math.isqrt(_MODULUS // 2)  # bound of a lifted numerator and denominator
-_RATIONAL_ORDER = 16  # largest integer form ranked over Q when the fields prove nothing
 
 
 def _reduce(x: np.ndarray) -> np.ndarray:
@@ -487,50 +484,6 @@ def _exact_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
     return tuple(w // half for w in weights)
 
 
-def _rational_pivots(m: np.ndarray) -> list[int]:
-    """Pivot columns over Q of the integer object array ``m``, which it
-    overwrites, by fraction-free (Bareiss) elimination: after k pivots each
-    entry below them is a minor of order k + 1, so every division by the
-    last pivot is exact."""
-    pivots, last = [], 1
-    for col in range(m.shape[1]):
-        row = len(pivots)
-        nonzero = np.flatnonzero(m[row:, col] != 0)
-        if not len(nonzero):
-            continue
-        top = row + int(nonzero[0])
-        m[[row, top]] = m[[top, row]]
-        below = m[row + 1:]
-        below[:, col + 1:] = (below[:, col + 1:] * m[row, col] - below[:, col:col + 1] * m[row, col + 1:]) // last
-        last = m[row, col]
-        pivots.append(col)
-        if len(pivots) == len(m):
-            break
-    return pivots
-
-
-def _rational_weyr_weights(am: np.ndarray) -> tuple[int, ...] | None:
-    """Weyr weights at zero of a Gaussian-integer ``am`` from ranks over Q,
-    or None when :func:`_integer_form` declines ``am`` or its integer form
-    B has order above _RATIONAL_ORDER.  B times a basis of the range of B^k
-    spans the range of B^(k+1), so each rank after the first is taken of
-    rank(B^k) columns.  The worst case timed, half a nilpotent strand
-    beside a nonsingular half with parts near p, takes 6 ms at order 16,
-    51 ms at 24 and 334 ms at 32 (one 2-vCPU x86-64 Xeon, Python 3.11)."""
-    a = _integer_form(am) if len(am) <= _RATIONAL_ORDER else None  # no scan of a larger am
-    if a is None or len(a) > _RATIONAL_ORDER:
-        return None
-    b = a.astype(np.int64).astype(object)
-    half = len(a) // am.shape[0]
-    weights, image, rank = [], b, len(b)  # the columns of image span the range of B^k
-    while True:
-        pivots = _rational_pivots(image.copy())
-        if len(pivots) == rank:
-            return tuple(w // half for w in weights)
-        weights.append(rank - len(pivots))
-        rank, image = len(pivots), b.dot(image[:, pivots])
-
-
 def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     """Nullity steps of the powers of the square complex matrix ``am``:
     w_k = nullity(A^k) - nullity(A^(k-1)) while positive.  Their sum is
@@ -540,17 +493,15 @@ def _weyr_weights(am: np.ndarray, tol: float) -> tuple[int, ...]:
     rank over GF(p) is at most rank over Q, so a field can only overstate
     a nullity, and the weights are taken only when both fields make every
     decision alike and the chain that shows them lifts to one that holds
-    over Q.  One the fields disagree on or whose chain does not lift is
-    ranked over Q if small (:func:`_rational_weyr_weights`).  Any other A
-    has its powers formed one at a time and ranked; a weight above its
-    predecessor contradicts the rank decisions and raises NumericalError.
+    over Q.  Any other A, and one the fields disagree on or whose chain
+    does not lift, has its powers formed one at a time and ranked; a
+    weight above its predecessor contradicts the rank decisions and raises
+    NumericalError.
     """
     if am.shape[0] != am.shape[1]:
         raise ValueError(f"matrix must be square, got {am.shape}")
     _threshold(tol)  # a bad tol raises also where no threshold is used
     exact = _exact_weyr_weights(am)
-    if exact is None:
-        exact = _rational_weyr_weights(am)
     if exact is not None:
         return exact
     n = am.shape[0]

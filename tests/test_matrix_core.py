@@ -419,7 +419,7 @@ class TestWeyrWeights:
     def test_fields_that_disagree_fall_back(self):
         # det = p: singular over GF(p), where that field alone would read
         # the weights (1,), and nonsingular over GF(q) and over Q.  The
-        # fields disagree, so A is ranked over Q.
+        # fields disagree, so the powers are ranked.
         a = np.array([[2, 1], [1, (P + 1) // 2]], dtype=complex)
         assert 2 * ((P + 1) // 2) - 1 == P
         assert matrix_core._integer_form(a) is not None
@@ -455,9 +455,9 @@ class TestWeyrWeights:
         # det M = 4244331^2 - 4 = p q, with every entry below both primes:
         # M has rank 2 over both fields, with the same pivots, so the
         # fields agree on a kernel vector that is none over Q.  Its lift
-        # fails the exact check, and A is ranked over Q, at every tol.  (The
-        # float ranks of the powers of M, entries near 10^13 and up, set a
-        # threshold at the default tol that swallows the blocks.)
+        # fails the exact check, and the powers are ranked, which read the
+        # weights at tol 0.  (At the default tol the powers of M, entries
+        # near 10^13 and up, set a threshold that swallows the blocks.)
         m = np.array([[4244328, -1, 0], [0, 2122167, -1], [5, 0, 2]])
         assert 4244328 * 2122167 * 2 + 5 == P * Q
         k = sum(blocks)
@@ -468,28 +468,6 @@ class TestWeyrWeights:
         assert matrix_core._integer_form(a) is not None
         assert matrix_core._exact_weyr_weights(a) is None
         assert _weyr_weights(a, 0.0) == weights
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(matrix_core, "matrix_rank", no_rank)
-            assert _weyr_weights(a, DEFAULT_TOL) == weights
-
-    @settings(max_examples=100)
-    @given(a=small_gaussian_integer_matrices())
-    def test_rational_weights_match_exact_ranks(self, a):
-        # The ranks over Q alone, without the prime fields, read the
-        # weights of the Gaussian-integer oracle up to _RATIONAL_ORDER, and
-        # none past it.
-        form = matrix_core._integer_form(a)
-        small = form is not None and len(form) <= matrix_core._RATIONAL_ORDER
-        want = helpers.fraction_weyr_weights(a) if small else None
-        assert matrix_core._rational_weyr_weights(a) == want
-
-    def test_rational_order_bound(self):
-        # An integer form of order 17 is not ranked over Q; one that is not
-        # integer has none.
-        n = matrix_core._RATIONAL_ORDER
-        assert matrix_core._rational_weyr_weights(jordan_block(n, 0)) == (1,) * n
-        assert matrix_core._rational_weyr_weights(jordan_block(n + 1, 0)) is None
-        assert matrix_core._rational_weyr_weights(jordan_block(2, 0) / 2) is None
 
     @pytest.mark.parametrize("prime", [P, Q])
     def test_multiple_of_a_prime(self, prime):
