@@ -25,10 +25,13 @@ the way out.  Overflow that matters is caught where it happens (a result
 that is not finite, a NaN pivot) and reported on one ``error:`` line;
 the warnings would only put numpy's source lines ahead of it.
 
-A matrix file in the canonical layout, as ``render_json`` writes it, is
-decoded from its text (``matrix_core._matrix_from_text``); any other
-takes ``json.loads`` and ``matrix_from_json``, with the same values,
-messages and exit codes.
+A matrix file in the canonical layout, as ``render_json`` and
+``json.dumps`` write it, is decoded from its text
+(``matrix_core._matrix_from_text``), with the pairs ``json.dumps``
+writes as ``[0.0, 0.0]`` taken as +0.0 unparsed; any other takes
+``json.loads`` and ``matrix_from_json``, with the same values, messages
+and exit codes.  A file that is not valid JSON exits 2 with the parser's
+message after the file's path.
 """
 
 from __future__ import annotations
@@ -174,6 +177,8 @@ def _load_json(path: str, raw: bytes | None = None):
     text = Path(path).read_text() if raw is None else io.TextIOWrapper(io.BytesIO(raw)).read()
     try:
         return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None
 

@@ -25,6 +25,14 @@ nullity read in the fields proved over Q by an exact check of the lifted
 chain.  Any other A, or one the fields disagree on or the check refuses,
 has every power ranked in turn, and a rank sequence whose weights
 increase raises :class:`NumericalError`.
+
+A matrix file in the canonical layout is decoded from its text
+(:func:`_matrix_from_text`) by one ``json.loads`` of its numbers alone.
+Each pair written exactly ``[0.0, 0.0]`` and followed by ``, `` is found
+with numpy on the bytes and taken as +0.0 without being parsed: the
+value ``json.loads`` reads from that text, so the matrix is bit for bit
+the same.  An h-cyclic matrix is zero off its cycle pattern, which holds
+at least half of its entries for h >= 2.
 """
 
 from __future__ import annotations
@@ -578,6 +586,32 @@ def matrix_to_json(a) -> dict:
 _CANONICAL_HEAD = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
 _NUMBER_OR_SPACE = b"0123456789+-.eE \t\n\r"
 _BRACKETS_TO_SPACES = bytes.maketrans(b"[]}", b"   ")
+# A pair of +0.0 as ``json.dumps`` writes it, with the separator after it,
+# read as one little-endian 8-byte and one 4-byte word.
+_ZERO_PAIR = b"[0.0, 0.0], "
+_ZERO_HEAD = int.from_bytes(_ZERO_PAIR[:8], "little")
+_ZERO_TAIL = int.from_bytes(_ZERO_PAIR[8:], "little")
+
+
+def _without_zero_pairs(body: bytes, pairs: int) -> tuple[bytes, np.ndarray]:
+    """``body`` with the 11 bytes after the ``[`` of each pair written
+    exactly ``[0.0, 0.0], `` deleted, and which of the ``pairs`` pairs those
+    are.  Each ``[`` is a pair opening, since the skeleton holds one per
+    pair and the head takes the outer one.  The temporaries are freed on
+    the way out, before the caller parses what is left."""
+    n = len(body)
+    buf = np.frombuffer(body, np.uint8)
+    opens = np.flatnonzero(buf == ord("["))
+    opens = opens[:np.searchsorted(opens, n - 11)]  # the pairs with 12 bytes to test
+    zero = np.zeros(pairs, bool)
+    hit = zero[:len(opens)]
+    # One unaligned word of each width at every opening.
+    np.equal(np.ndarray((n - 11,), "<u8", body, 0, (1,))[opens], _ZERO_HEAD, out=hit)
+    hit &= np.ndarray((n - 11,), "<u4", body, 8, (1,))[opens] == _ZERO_TAIL
+    keep = np.ones(n, bool)
+    np.ndarray((n - 11, 11), bool, keep, 1, (1, 1))[opens[hit]] = False
+    del opens, hit
+    return buf[keep].tobytes(), zero
 
 
 def _matrix_from_text(text: bytes) -> np.ndarray | None:
@@ -589,15 +623,21 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     With the number characters and JSON whitespace deleted, what follows
     the head must read ``[,],`` R*C times, its last comma replaced by
     ``]}``.  That proves the pair structure and leaves no room for a
-    bool, null, string or nested value.  Turning the brackets into
-    spaces then leaves one flat list of 2*R*C numbers for
-    ``json.loads``, the same number parser, so ``01``, ``+1`` or ``1.``
-    fails there and ``1e400`` is caught by the finite test.  A number
-    character outside the pairs, which the skeleton does not see, is
-    left standing apart from its neighbour, so ``json.loads`` fails on
-    it too rather than gluing it onto a number.  Lengths are compared
-    before the expected text is built, so a header that claims more
-    entries than the text holds costs nothing."""
+    bool, null, string or nested value.  Each pair then written exactly
+    ``[0.0, 0.0], `` is taken as +0.0 and cut from the text but for its
+    ``[`` (:func:`_without_zero_pairs`); ``-0.0``, ``0``, any other
+    spelling and the last pair stay for the parser.  Turning the brackets
+    into spaces leaves one flat list of numbers for ``json.loads``, the
+    same number parser, so ``01``, ``+1`` or ``1.`` fails there and
+    ``1e400`` is caught by the finite test.  A number character outside
+    the pairs, which the skeleton does not see, is left standing apart
+    from its neighbour (a cut pair leaves its ``[`` between them), so
+    ``json.loads`` fails on it rather than gluing it onto a number,
+    unless it fills an empty slot of the pair beside it (``[[1, ]7]``
+    reads as 1+7j).  A list of other than two numbers per parsed pair is
+    declined.  Lengths are compared before the expected text is built,
+    so a header that claims more entries than the text holds costs
+    nothing."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -606,14 +646,24 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     skeleton = body.translate(None, _NUMBER_OR_SPACE)
     if len(skeleton) != 4 * rows * cols + 1 or skeleton != b"[,]," * (rows * cols - 1) + b"[,]]}":
         return None
+    zero = None
+    if _ZERO_PAIR in body:
+        body, zero = _without_zero_pairs(body, rows * cols)
+    numbers = b"[" + body.translate(_BRACKETS_TO_SPACES) + b"]"
+    del body
     try:
-        values = json.loads(b"[" + body.translate(_BRACKETS_TO_SPACES) + b"]")
+        values = json.loads(numbers)
         arr = np.fromiter(values, np.float64, count=len(values))
     except (ValueError, OverflowError):  # a malformed number, or an int beyond float
         return None
-    if not np.all(np.isfinite(arr)):
+    parsed = rows * cols if zero is None else rows * cols - np.count_nonzero(zero)
+    if len(arr) != 2 * parsed or not np.all(np.isfinite(arr)):
         return None
-    return arr.view(complex).reshape(rows, cols)
+    if zero is None:
+        return arr.view(complex).reshape(rows, cols)
+    out = np.zeros(rows * cols, complex)
+    out[~zero] = arr.view(complex)
+    return out.reshape(rows, cols)
 
 
 def matrix_from_json(obj) -> np.ndarray:

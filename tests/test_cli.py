@@ -347,6 +347,19 @@ class TestExitCodes:
         assert code == 2
         assert out == "" and err
 
+    @pytest.mark.parametrize("flag", ["--matrix", "--partition"])
+    def test_malformed_json_names_its_file(self, capsys, files, tmp_path, flag):
+        # A command that reads two files says which of them is bad.
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"h": 2 "classes": []}')
+        with pytest.raises(json.JSONDecodeError) as exc:
+            json.loads(bad.read_text())
+        argv = (["detect", "--matrix", str(bad)] if flag == "--matrix"
+                else ["spectrum", "--matrix", files["six"], "--partition", str(bad)])
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: {exc.value}\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, ["detect", "--matrix", str(tmp_path / "nope.json")])
         assert code == 2 and err
@@ -477,7 +490,7 @@ class TestExitCodes:
             json.loads(text)
         code, out, err = run_cli(capsys, ["weyr", "--matrix", str(path)])
         assert (code, out) == (2, "")
-        assert err == f"error: {exc.value}\n"
+        assert err == f"error: {path}: {exc.value}\n"
 
     def test_overflowing_chain_residual_is_numerical_failure(self, capsys, files):
         # [1e200, 2e200] is no eigenvector of the swap times 1e200, but
@@ -1058,23 +1071,43 @@ NUMBER_SWAPS = ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity", 
 STRAY_CHARACTERS = list("0123456789.eE+-")
 # Mutations that keep the canonical layout, which the text decoder must take.
 CANONICAL_MUTATIONS = ("none", "trailing-newline", "pair-spaces")
+# Which pairs of a matrix text are planted as zero pairs.
+ZERO_PLANTS = ("none", "first", "last", "all", "some")
+# A planted zero pair: +0.0 twice, the one pair the text decoder skips
+# (written ``[0.0, 0.0]`` by json.dumps, ``[0, 0]`` by render_json), a
+# signed zero, or a zero part beside a number.
+zero_pairs = st.one_of(
+    st.just((0.0, 0.0)),
+    st.sampled_from([(-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]),
+    finite_floats.map(lambda x: (0.0, x)),
+    finite_floats.map(lambda x: (x, 0.0)),
+)
 
 
 @st.composite
 def matrix_texts(draw):
     """A matrix file as ``json.dumps(matrix_to_json(a))`` or ``render_json``
-    writes it, with at most one mutation, and whether the text is still in
-    the canonical layout."""
+    writes it, with zero pairs planted in none, the first, the last, all or
+    some of its entries and at most one mutation, and whether the text is
+    still in the canonical layout."""
     shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
-    parts = draw(st.lists(finite_floats, min_size=2 * shape[0] * shape[1],
-                          max_size=2 * shape[0] * shape[1]))
-    a = np.array(parts).view(complex).reshape(shape)
+    size = shape[0] * shape[1]
+    parts = draw(st.lists(finite_floats, min_size=2 * size, max_size=2 * size))
+    pairs = np.array(parts).reshape(size, 2)
+    plant = draw(st.sampled_from(ZERO_PLANTS))
+    if plant == "some":
+        planted = draw(st.sets(st.integers(0, size - 1)))
+    else:
+        planted = {"none": [], "first": [0], "last": [size - 1], "all": range(size)}[plant]
+    for k in planted:
+        pairs[k] = draw(zero_pairs)
+    a = pairs.view(complex).reshape(shape)
     rows, cols = shape
     text = draw(st.sampled_from([json.dumps(matrix_to_json(a)),
                                  render_json({"rows": rows, "cols": cols, "data": a})]))
     how = draw(st.sampled_from(CANONICAL_MUTATIONS + (
-        "number", "stray", "ragged-short", "ragged-long", "reordered", "extra-key", "duplicate-key",
-        "bom", "compact", "newlines", "crlf", "spaced-head", "wrong-rows")))
+        "number", "stray", "stray-zero", "ragged-short", "ragged-long", "reordered", "extra-key",
+        "duplicate-key", "bom", "compact", "newlines", "crlf", "spaced-head", "wrong-rows")))
     head, data = text.split('"data": ')
     if how == "trailing-newline":
         text += "\n"
@@ -1092,6 +1125,16 @@ def matrix_texts(draw):
         brackets += [m.start() for m in re.finditer(r"(?<=, )\[", data)]
         at = draw(st.sampled_from(brackets + [len(data)]))
         data = data[:at] + draw(st.sampled_from(STRAY_CHARACTERS)) + data[at:]
+        text = head + '"data": ' + data
+    elif how == "stray-zero":
+        # A pair other than the last made a zero pair with a number
+        # character on each side of it; a 1x1 matrix gets one after its pair.
+        end = len(data) - 2
+        spans = [m.span() for m in re.finditer(r"\[[^\[\]]*\], ", data)] or [(end, end)]
+        start, stop = draw(st.sampled_from(spans))
+        before, after = draw(st.sampled_from(STRAY_CHARACTERS)), draw(st.sampled_from(STRAY_CHARACTERS))
+        zero = "[0.0, 0.0], " if stop > start else ""
+        data = data[:start] + before + zero + after + data[stop:]
         text = head + '"data": ' + data
     elif how == "ragged-short":
         text = head + '"data": ' + re.sub(r", [^\]]*\]", "]", data, count=1)
@@ -1132,9 +1175,11 @@ class TestCanonicalMatrixText:
         try:
             want = matrix_from_json(json.loads(path.read_text()))
         except ValueError as exc:
+            # A parser error comes after the file's path.
+            message = f"{path}: {exc}" if isinstance(exc, json.JSONDecodeError) else str(exc)
             with pytest.raises(ValueError) as got:
                 cli._load_matrix(str(path))
-            assert str(got.value) == str(exc)
+            assert str(got.value) == message
         else:
             assert cli._load_matrix(str(path)).tobytes() == want.tobytes()
 
