@@ -25,13 +25,11 @@ the way out.  Overflow that matters is caught where it happens (a result
 that is not finite, a NaN pivot) and reported on one ``error:`` line;
 the warnings would only put numpy's source lines ahead of it.
 
-A matrix file in the canonical layout, as ``render_json`` and
-``json.dumps`` write it, is decoded from its text
-(``matrix_core._matrix_from_text``) segment by segment into the matrix,
-with the pairs ``json.dumps`` writes as ``[0.0, 0.0]`` taken as +0.0
-unparsed; any other takes ``json.loads`` and ``matrix_from_json``, with
-the same values, messages and exit codes.  A file that is not valid JSON
-exits 2 with the parser's message after the file's path.
+A matrix file in the canonical layout is decoded from its text by
+``matrix_core._matrix_from_text``, whose docstring describes the
+decoder; any other takes ``json.loads`` and ``matrix_from_json``.  A
+file that is not valid JSON exits 2 with the parser's message after the
+file's path.
 """
 
 from __future__ import annotations
@@ -379,7 +377,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 
-    p = add("power", _cmd_power, "diagonal blocks of A^h, verified against the cycle products")
+    p = add("power", _cmd_power,
+            "diagonal blocks of A^h for any partition, its off-diagonal blocks checked")
     p.add_argument("--matrix", required=True)
     p.add_argument("--partition", required=True)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .circulant import omega_pow
 from .digraph import CyclicPartition, is_h_cyclic
 from .matrix_core import (
     DEFAULT_TOL,
@@ -145,37 +146,25 @@ def partial_product(bc: BlockCycle, i: int, p: int) -> np.ndarray:
 
 
 def block_diagonal_power(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> list[np.ndarray]:
-    """Diagonal blocks (B_1, ..., B_h) of A^h, computed directly.
+    """Diagonal blocks (B_1, ..., B_h) of A^h, read off A^h class by class.
 
-    A^h of a consecutive h-cyclic matrix is block diagonal; this verifies
-    that the off-diagonal blocks vanish and that each diagonal block
-    matches the corresponding cycle product, at a threshold scaled by
-    ``norm_inf(a) ** h`` (inf when that overflows).  A violation, or an
-    A^h that overflows, raises :class:`NumericalError`, signalling
-    inconsistent input or numerical breakdown.
+    A^h of an h-cyclic matrix maps each class V_i into itself, with the
+    cycle product B_i as its block there, for any partition, consecutive
+    or not.  The blocks between two different classes must vanish; their
+    largest modulus is checked against a threshold scaled by
+    ``norm_inf(a) ** h`` (inf when that overflows).  A larger residual
+    (inconsistent input) or an A^h that overflows raises
+    :class:`NumericalError`.
     """
-    if not part.is_consecutive:
-        raise ValueError("partition must be consecutive; relabel first")
-    am, bc = _checked_cycle(a, part, tol)
-    h = part.h
-    power = _finite(np.linalg.matrix_power(am, h), "A^h")
-    thr = _threshold(tol, norm_inf(am), power=h)
+    am = _checked_cycle(a, part, tol)[0]
+    power = _finite(np.linalg.matrix_power(am, part.h), "A^h")
+    thr = _threshold(tol, norm_inf(am), power=part.h)
     labels = part._labels
     resid = float(np.max(np.abs(power[labels[:, None] != labels[None, :]]), initial=0.0))
     if resid > thr:
         raise NumericalError(f"off-diagonal blocks of A^h have residual {resid:.3e}")
-    offsets = np.concatenate([[0], np.cumsum(part.sizes)])
-    out = []
-    for i in range(h):
-        diag = power[offsets[i]:offsets[i + 1], offsets[i]:offsets[i + 1]]
-        expected = partial_product(bc, i + 1, h)
-        resid = float(np.max(np.abs(diag - expected)))
-        if resid > thr:
-            raise NumericalError(
-                f"diagonal block {i + 1} of A^h deviates from the cycle product by {resid:.3e}"
-            )
-        out.append(diag)
-    return out
+    rows = (np.asarray(cls) - 1 for cls in part.classes)
+    return [power[np.ix_(r, r)] for r in rows]
 
 
 def _smallest_product(bc: BlockCycle, tol: float) -> tuple[np.ndarray, int]:
@@ -215,12 +204,10 @@ class SpectrumPrediction:
 
 
 def _hth_roots(lam: complex, h: int) -> tuple[complex, ...]:
-    # Principal argument in (-pi, pi]; roots listed by increasing branch k.
-    radius = abs(lam) ** (1.0 / h)
-    theta = cmath.phase(lam)
-    return tuple(
-        radius * cmath.exp(1j * (theta + 2 * cmath.pi * k) / h) for k in range(h)
-    )
+    # Principal root (argument in (-pi/h, pi/h]) turned by omega_h^k, so
+    # the roots are listed by increasing branch k.
+    principal = abs(lam) ** (1.0 / h) * cmath.exp(1j * cmath.phase(lam) / h)
+    return tuple(principal * omega_pow(h, 1, k) for k in range(h))
 
 
 def mirsky_spectrum(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> SpectrumPrediction:

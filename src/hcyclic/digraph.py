@@ -147,7 +147,10 @@ class CyclicPartition:
     classes: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        classes = tuple(tuple(sorted(int(v) for v in cls)) for cls in self.classes)
+        classes = tuple(
+            tuple(sorted(_json_int(v, "partition class entry") for v in cls))
+            for cls in self.classes
+        )
         object.__setattr__(self, "classes", classes)
         if self.h != len(classes) or self.h < 1:
             raise ValueError(f"h={self.h} does not match {len(classes)} classes")
@@ -331,10 +334,7 @@ def partition_from_json(obj) -> CyclicPartition:
         raise ValueError("partition classes must be a list of index lists")
     try:
         h = _json_int(obj["h"], "partition h")
-        classes = tuple(
-            tuple(_json_int(v, "partition class entry") for v in cls)
-            for cls in obj["classes"]
-        )
+        classes = tuple(tuple(cls) for cls in obj["classes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed partition JSON: {exc}") from exc
     return CyclicPartition(h=h, classes=classes)

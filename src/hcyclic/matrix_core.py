@@ -26,16 +26,8 @@ chain.  Any other A, or one the fields disagree on or the check refuses,
 has every power ranked in turn, and a rank sequence whose weights
 increase raises :class:`NumericalError`.
 
-A matrix file in the canonical layout is decoded from its text
-(:func:`_matrix_from_text`) in segments of about 1 MiB that end at a
-pair, each by one ``json.loads`` of its numbers alone, stored straight
-into the result: the decoding holds a few segments' worth beside the
-matrix, not copies of the whole text.  Each pair written exactly
-``[0.0, 0.0]`` and followed by ``, `` is found with numpy on the bytes
-and taken as +0.0 without being parsed: the value ``json.loads`` reads
-from that text, so the matrix is bit for bit the same.  An h-cyclic
-matrix is zero off its cycle pattern, which holds at least half of its
-entries for h >= 2.
+A matrix file in the canonical layout is decoded from its text by
+:func:`_matrix_from_text`; its docstring describes the decoder.
 """
 
 from __future__ import annotations
@@ -155,7 +147,7 @@ def _as_index_list(idx, n: int, what: str) -> list[int]:
     # Sets carry no order; sort them so extraction is deterministic.
     if isinstance(idx, (set, frozenset)):
         idx = sorted(idx)
-    out = [int(i) for i in idx]
+    out = [_json_int(i, f"{what} index") for i in idx]
     if not out:
         raise ValueError(f"{what} index set must be nonempty")
     for i in out:
@@ -625,8 +617,11 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     written ``], [``, one numpy test of the four bytes before each ``[``
     settles it without the deletion.  Each pair written exactly
     ``[0.0, 0.0], `` inside the segment is found with numpy on the
-    bytes, taken as +0.0 and cut with its separator; ``-0.0``, ``0``, any
-    other spelling and the segment's last pair stay for the parser.
+    bytes, taken as +0.0 (the value ``json.loads`` reads there) and cut
+    with its separator; ``-0.0``, ``0``, any other spelling and the
+    segment's last pair stay for the parser.  An h-cyclic matrix is zero
+    off its cycle pattern, at least half of its entries for h >= 2, so
+    most of its pairs are cut.
     Turning the brackets into spaces leaves a flat list of numbers for
     one ``json.loads``, the same number parser, so an empty slot, ``01``,
     ``+1`` or ``1.`` fails there and ``1e400`` is caught by the finite

@@ -169,6 +169,35 @@ class TestSubcommands:
         b2 = matrix_from_json(doc["diagonal_blocks"][1])
         assert np.max(np.abs(b2 - np.ones((4, 4)))) <= 1e-9
 
+    def test_power_at_tol_zero(self, capsys, files, rng):
+        # A^h is the only product formed, so round-off has nothing to be
+        # compared with: tol 0 prints the bytes of the default tol.
+        for h in (2, 3, 4, 5):
+            a, part = helpers.random_block_cycle(rng, h=h)
+            matrix = files["write"](f"cycle{h}.json", matrix_to_json(a))
+            pfile = files["write"](f"cycle{h}_part.json", partition_to_json(part))
+            argv = ["power", "--matrix", matrix, "--partition", pfile]
+            code, out, _ = run_cli(capsys, argv)
+            assert code == 0
+            assert run_cli(capsys, argv + ["--tol", "0"]) == (0, out, "")
+
+    def test_power_on_interleaved_classes(self, capsys, files):
+        a = np.array([[0, 1, 0], [3, 0, 4], [0, 2, 0]])
+        matrix = files["write"]("inter.json", matrix_to_json(a))
+        pfile = files["write"]("inter_part.json", {"h": 2, "classes": [[1, 3], [2]]})
+        code, out, _ = run_cli(capsys, ["power", "--matrix", matrix, "--partition", pfile])
+        assert code == 0
+        blocks = [matrix_from_json(b) for b in json.loads(out)["diagonal_blocks"]]
+        assert np.array_equal(blocks[0], [[3, 4], [6, 8]])
+        assert np.array_equal(blocks[1], [[11]])
+
+    def test_spectrum_negative_root_prints_zero_imaginary_part(self, capsys, files):
+        matrix = files["write"]("two.json", matrix_to_json(np.array([[0, 2], [3, 0]])))
+        pfile = files["write"]("two_part.json", {"h": 2, "classes": [[1], [2]]})
+        code, out, _ = run_cli(capsys, ["spectrum", "--matrix", matrix, "--partition", pfile])
+        assert code == 0
+        assert json.loads(out)["orbits"] == [[[2.44948974278, 0], [-2.44948974278, 0]]]
+
     def test_spectrum(self, capsys, files):
         code, out, _ = run_cli(
             capsys,

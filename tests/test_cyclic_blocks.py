@@ -10,14 +10,19 @@ from hcyclic import (
     DEFAULT_TOL,
     CyclicPartition,
     NumericalError,
+    apply_vertex_permutation,
     assemble_blocks,
     block_diagonal_power,
+    consecutive_permutation,
     extract_blocks,
     jordan_block,
     matrix_rank,
     mirsky_spectrum,
     nonsingular_structure_check,
+    norm_inf,
+    omega_pow,
     partial_product,
+    permute_partition,
     weyr_zero,
 )
 
@@ -138,6 +143,43 @@ class TestBlockDiagonalPower:
             for i, block in enumerate(diag, start=1):
                 assert np.max(np.abs(block - partial_product(bc, i, part.h))) <= 1e-8
 
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 5), relabel=st.booleans())
+    def test_blocks_are_cycle_products(self, seed, h, relabel):
+        # A^h maps each class into itself with block B_i: every returned
+        # block is B_i of the consecutive form to round-off, also when the
+        # vertices are relabelled so that the classes interleave.
+        rng = np.random.default_rng(seed)
+        a, part = helpers.random_block_cycle(rng, h=h, max_size=4)
+        if relabel:
+            sigma = tuple(int(v) for v in rng.permutation(part.n) + 1)
+            a, part = apply_vertex_permutation(a, sigma), permute_partition(part, sigma)
+        tau = consecutive_permutation(part)
+        bc = extract_blocks(apply_vertex_permutation(a, tau), permute_partition(part, tau))
+        diag = block_diagonal_power(a, part)
+        bound = 1e-13 * max(1.0, norm_inf(a)) ** h
+        for i, block in enumerate(diag, start=1):
+            assert block.shape == (part.sizes[i - 1],) * 2
+            assert np.max(np.abs(block - partial_product(bc, i, h))) <= bound
+
+    def test_nonconsecutive_matches_consecutive_relabelling(self, rng):
+        a, part = helpers.random_block_cycle(rng, h=3, max_size=4)
+        sigma = tuple(int(v) for v in rng.permutation(part.n) + 1)
+        a, part = apply_vertex_permutation(a, sigma), permute_partition(part, sigma)
+        tau = consecutive_permutation(part)
+        back, moved = apply_vertex_permutation(a, tau), permute_partition(part, tau)
+        assert not part.is_consecutive and moved.is_consecutive
+        for got, want in zip(block_diagonal_power(a, part), block_diagonal_power(back, moved)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * max(1.0, norm_inf(a)) ** 3
+
+    def test_nonconsecutive_integer_example(self):
+        # Classes {1, 3} and {2}: A^2 = diag(B_1, B_2) after relabelling,
+        # B_1 = [[1], [2]] [3, 4] and B_2 = [3, 4] [[1], [2]] = 11.
+        a = np.array([[0, 1, 0], [3, 0, 4], [0, 2, 0]])
+        b1, b2 = block_diagonal_power(a, CyclicPartition(2, ((1, 3), (2,))))
+        assert np.array_equal(b1, np.array([[3, 4], [6, 8]]))
+        assert np.array_equal(b2, np.array([[11]]))
+
     def test_threshold_scale_saturates(self):
         # ||A||^2 = 1e400 overflows a float while A^2 = I does not.
         a = np.array([[0, 1e200], [1e-200, 0]])
@@ -188,6 +230,23 @@ class TestMirskySpectrum:
                     assert abs(orbit[(k + 1) % part.h] - orbit[k] * w) <= 1e-9 * max(
                         1.0, abs(orbit[k])
                     )
+
+    @settings(max_examples=60)
+    @given(seed=st.integers(0, 2**32 - 1), h=st.integers(2, 6))
+    def test_orbit_is_first_root_times_roots_of_unity(self, seed, h):
+        # One formula for every root: entry k is entry 0 times omega_h^k
+        # as omega_pow evaluates it, exactly.
+        a, part = helpers.random_block_cycle(np.random.default_rng(seed), h=h, max_size=3)
+        for orbit in mirsky_spectrum(a, part).root_orbits:
+            assert len(orbit) == h
+            assert all(orbit[k] == orbit[0] * omega_pow(h, 1, k) for k in range(h))
+
+    def test_negative_root_is_real(self):
+        # B_1 = 6: the roots are sqrt(6) and sqrt(6) * -1, with no
+        # imaginary round-off from a second exp(i pi).
+        pred = mirsky_spectrum(np.array([[0, 2], [3, 0]]), CyclicPartition(2, ((1,), (2,))))
+        assert pred.root_orbits == ((6**0.5 + 0j, -(6**0.5) + 0j),)
+        assert pred.root_orbits[0][1].imag == 0
 
     def test_matches_direct_eigenvalues(self, rng):
         for _ in range(20):

@@ -275,3 +275,13 @@ class TestPartitionHelpers:
         ):
             with pytest.raises(ValueError, match="must be an integer"):
                 partition_from_json(doc)
+
+    @pytest.mark.parametrize("bad", [1.7, 1.0, True, "1", np.float64(1.0)])
+    def test_class_entries_must_be_integers(self, bad):
+        # int() would truncate 1.7 to vertex 1 and build a valid partition.
+        with pytest.raises(ValueError, match="must be an integer"):
+            CyclicPartition(2, ((bad,), (2,)))
+
+    def test_numpy_integer_entries(self):
+        part = CyclicPartition(2, (tuple(np.array([3, 1])), (np.int64(2),)))
+        assert part.classes == ((1, 3), (2,))

@@ -141,6 +141,19 @@ class TestSubmatrix:
         with pytest.raises(ValueError):
             submatrix(np.eye(3), (0,), (1,))
 
+    @pytest.mark.parametrize("bad", [1.9, 2.0, False, "2", np.float64(2.0)])
+    def test_indices_must_be_integers(self, bad):
+        # int() would truncate 1.9 and read entry (1, 2) for ([1.9], [2.9]).
+        a = np.arange(9, dtype=float).reshape(3, 3)
+        with pytest.raises(ValueError, match="must be an integer"):
+            submatrix(a, [bad], [2])
+        with pytest.raises(ValueError, match="must be an integer"):
+            submatrix(a, [1], [bad])
+
+    def test_numpy_integer_indices(self):
+        a = np.arange(9, dtype=float).reshape(3, 3)
+        assert np.array_equal(submatrix(a, np.array([3, 1]), {np.int64(2)}), np.array([[7], [1]]))
+
 
 class TestNullSpace:
     def test_full_rank_identity(self):
