@@ -12,12 +12,7 @@ representable as finite floats, dimension or partition mismatch), 1 a
 NumericalError (including overflow of products and powers of valid
 input); any other exception is a bug and propagates.
 
-Each call of :func:`main` runs with the cyclic garbage collector paused
-and restores the caller's collector state on the way out.  Unpaused, the
-collector rescans the growing parse tree of a large JSON document again
-and again while ``json.loads`` builds it.  The pause leaves nothing for
-later: the argument parser, the one structure with reference cycles, is
-built once per process, and nothing else a call builds forms a cycle.
+The argument parser is built once per process and reused by every call.
 
 The handler and the render run with numpy's overflow, invalid-value and
 divide-by-zero warnings silenced, and the caller's settings come back on
@@ -36,7 +31,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import gc
 import io
 import json
 import math
@@ -424,24 +418,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    enabled = gc.isenabled()
-    gc.disable()  # see the module docstring
-    try:
-        args = _build_parser().parse_args(argv)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see the module docstring
-            try:
-                result = args.handler(args)
-            except NumericalError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 1
-            except (ValueError, OSError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-            print(render_json(result))
-        return 0
-    finally:
-        if enabled:
-            gc.enable()
+    args = _build_parser().parse_args(argv)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # see the module docstring
+        try:
+            result = args.handler(args)
+        except NumericalError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except (ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        print(render_json(result))
+    return 0
 
 
 if __name__ == "__main__":

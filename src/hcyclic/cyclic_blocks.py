@@ -1,11 +1,13 @@
 """Block-cycle algebra of h-cyclic matrices.
 
-A matrix that is h-cyclic with consecutive partition (V_1, ..., V_h)
-carries all of its content in the blocks A_{i,i+1} = A(V_i, V_{i+1}),
-with A_{h,1} closing the cycle.  The h-th power is block diagonal with
-the cycle products B_i on the diagonal, and the spectrum is the h-th
-roots of the nonzero eigenvalues of any B_i together with the matching
-count of zeros (Mirsky's theorem).
+A matrix that is h-cyclic with partition (V_1, ..., V_h), consecutive
+or not, carries all of its content in the blocks A_{i,i+1} =
+A(V_i, V_{i+1}), with A_{h,1} closing the cycle.  A^h maps each class
+into itself, with the cycle product B_i as its block there, and the
+spectrum is the h-th roots of the nonzero eigenvalues of any B_i
+together with the matching count of zeros (Mirsky's theorem).  Every
+function here that takes a partition takes any, except
+:func:`extract_blocks`, which asks for a consecutive one.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .matrix_core import (
     _weyr_weights,
     as_complex_matrix,
     norm_inf,
-    submatrix,
 )
 
 __all__ = [
@@ -73,23 +74,22 @@ class BlockCycle:
         return sum(self.sizes)
 
 
-def _cycle_blocks(a: np.ndarray, part: CyclicPartition) -> BlockCycle:
-    # Submatrix extraction by class index sets; valid for any partition,
-    # consecutive or not, because classes are kept in ascending vertex order.
-    blocks = tuple(
-        submatrix(a, part.classes[i - 1], part.classes[part.alpha(i) - 1])
-        for i in range(1, part.h + 1)
-    )
+def _cycle_blocks(am: np.ndarray, part: CyclicPartition) -> BlockCycle:
+    # The blocks of the checked matrix ``am`` by class index sets; valid for
+    # any partition, consecutive or not, because classes are kept in
+    # ascending vertex order.
+    rows = [np.asarray(cls) - 1 for cls in part.classes]
+    blocks = tuple(am[np.ix_(rows[i], rows[(i + 1) % part.h])] for i in range(part.h))
     return BlockCycle(h=part.h, sizes=part.sizes, blocks=blocks)
 
 
-def _checked_cycle(a, part: CyclicPartition, tol: float) -> tuple[np.ndarray, BlockCycle]:
-    """``a`` as a complex matrix plus its cycle blocks, after the one
-    h-cyclicity check that every block-cycle entry point needs."""
+def _checked_cycle(a, part: CyclicPartition, tol: float) -> np.ndarray:
+    """``a`` as a complex matrix, after the one h-cyclicity check that
+    every block-cycle entry point needs."""
     am = as_complex_matrix(a)
     if not is_h_cyclic(am, part, tol):
         raise ValueError("matrix is not h-cyclic for the given partition")
-    return am, _cycle_blocks(am, part)
+    return am
 
 
 def extract_blocks(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> BlockCycle:
@@ -101,7 +101,7 @@ def extract_blocks(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> BlockC
     """
     if not part.is_consecutive:
         raise ValueError("partition must be consecutive; relabel first")
-    return _checked_cycle(a, part, tol)[1]
+    return _cycle_blocks(_checked_cycle(a, part, tol), part)
 
 
 def assemble_blocks(blocks) -> np.ndarray:
@@ -156,7 +156,7 @@ def block_diagonal_power(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> 
     (inconsistent input) or an A^h that overflows raises
     :class:`NumericalError`.
     """
-    am = _checked_cycle(a, part, tol)[0]
+    am = _checked_cycle(a, part, tol)
     power = _finite(np.linalg.matrix_power(am, part.h), "A^h")
     thr = _threshold(tol, norm_inf(am), power=part.h)
     labels = part._labels
@@ -214,7 +214,7 @@ def mirsky_spectrum(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> Spect
     """Predicted spectrum: n - h*m zeros and the h-th roots of the m
     nonzero eigenvalues of the cycle product of the first smallest class
     (:func:`_smallest_product`)."""
-    b, m = _smallest_product(_checked_cycle(a, part, tol)[1], tol)
+    b, m = _smallest_product(_cycle_blocks(_checked_cycle(a, part, tol), part), tol)
     eigs = sorted((complex(z) for z in np.linalg.eigvals(b)), key=lambda z: (-abs(z), cmath.phase(z)))
     orbits = tuple(_hth_roots(lam, part.h) for lam in eigs[:m])
     return SpectrumPrediction(zero_count=part.n - part.h * m, root_orbits=orbits)
@@ -236,7 +236,7 @@ def nonsingular_structure_check(a, part: CyclicPartition, tol: float = DEFAULT_T
     :func:`mirsky_spectrum`).  A nonsingular matrix therefore always has
     equal class sizes, hence h | n.
     """
-    m = _smallest_product(_checked_cycle(a, part, tol)[1], tol)[1]
+    m = _smallest_product(_cycle_blocks(_checked_cycle(a, part, tol), part), tol)[1]
     singular_blocks = tuple(i for i, size in enumerate(part.sizes, start=1) if size > m)
     return StructureReport(
         singular=bool(singular_blocks),

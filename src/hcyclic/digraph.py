@@ -49,9 +49,10 @@ class Digraph:
     """
 
     def __init__(self, n: int, arcs):
+        n = _json_int(n, "digraph vertex count")
         if n < 1:
             raise ValueError("digraph needs at least one vertex")
-        ends = [(int(i), int(j)) for i, j in arcs]
+        ends = [(_json_int(i, "arc end"), _json_int(j, "arc end")) for i, j in arcs]
         for i, j in ends:
             if not (1 <= i <= n and 1 <= j <= n):
                 raise ValueError(f"arc ({i}, {j}) out of range 1..{n}")
@@ -152,6 +153,7 @@ class CyclicPartition:
             for cls in self.classes
         )
         object.__setattr__(self, "classes", classes)
+        object.__setattr__(self, "h", _json_int(self.h, "partition h"))
         if self.h != len(classes) or self.h < 1:
             raise ValueError(f"h={self.h} does not match {len(classes)} classes")
         seen: set[int] = set()

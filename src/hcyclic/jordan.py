@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circulant import omega_pow
-from .cyclic_blocks import _checked_cycle, partial_product
+from .cyclic_blocks import _checked_cycle, _cycle_blocks, partial_product
 from .digraph import CyclicPartition, _block_mask
 from .matrix_core import (
     DEFAULT_TOL,
@@ -239,11 +239,12 @@ def zero_chain_from_null_vector(
     and finds the block-level minimality of p; the chain is then verified
     against A.
     """
-    am, bc = _checked_cycle(a, part, tol)
+    am = _checked_cycle(a, part, tol)
     xv = as_complex_vector(x)
     if norm_inf(xv) == 0.0:
         raise ValueError("seed vector must be nonzero")
-    return _zero_chain(am, norm_inf(am), part, i, partial_product(bc, i, part.h), xv, tol)
+    b_i = partial_product(_cycle_blocks(am, part), i, part.h)
+    return _zero_chain(am, norm_inf(am), part, i, b_i, xv, tol)
 
 
 def _zero_chain(am: np.ndarray, na: float, part: CyclicPartition, i: int,
@@ -335,7 +336,8 @@ class ZeroChainSummary:
 def zero_chains_all(a, part: CyclicPartition, tol: float = DEFAULT_TOL) -> ZeroChainSummary:
     """Zero chains for each class whose cycle product is singular, one per
     kernel basis vector, in class order."""
-    am, bc = _checked_cycle(a, part, tol)
+    am = _checked_cycle(a, part, tol)
+    bc = _cycle_blocks(am, part)
     na = norm_inf(am)
     weyr = weyr_zero(am, tol)
     reports: list[ZeroChainReport] = []

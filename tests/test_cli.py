@@ -36,10 +36,11 @@ from hcyclic.matrix_core import _matrix_from_text, _pairs_to_json
 import helpers
 
 # Every library operation the CLI must reach through some subcommand.
+# ``submatrix`` is not among them: it checks a caller's matrix and indices,
+# and the CLI slices only matrices and partitions already checked.
 REQUIRED_OPERATIONS = [
     "hadamard",
     "jordan_block",
-    "submatrix",
     "null_space",
     "digraph_of",
     "cyclic_index",
@@ -862,9 +863,8 @@ class TestAnyJsonInput:
 
 
 class TestGarbageCollector:
-    """Each call runs with the cyclic collector paused and hands the
-    caller's collector state back; a call makes no cyclic garbage, so the
-    pause holds no memory back."""
+    """A call leaves the cyclic collector as the caller set it, also while
+    the handler runs, and makes no cyclic garbage."""
 
     @staticmethod
     def _exit_path(files, monkeypatch, path):
@@ -909,6 +909,48 @@ class TestGarbageCollector:
         assert main(argv) == 0
         assert gc.collect() == 0
         capsys.readouterr()
+
+    def test_handler_runs_with_the_collector_enabled(self, capsys, files, monkeypatch):
+        seen = []
+        load = cli._load_matrix
+
+        def recording(path):
+            seen.append(gc.isenabled())
+            return load(path)
+
+        monkeypatch.setattr(cli, "_load_matrix", recording)
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            assert main(["weyr", "--matrix", files["six"]]) == 0
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [True]
+        capsys.readouterr()
+
+    def test_canonical_decode_runs_no_collection(self):
+        # A canonical matrix text decodes as flat number lists, untracked by
+        # the collector, so no collection runs while it decodes; json.loads
+        # of the same text builds one tracked list per pair and runs hundreds.
+        rng = np.random.default_rng(0)
+        a = assemble_blocks([helpers.unit_disk((250, 250), rng) for _ in range(2)])
+        text = json.dumps(matrix_to_json(a)).encode()
+
+        def collections(parse):
+            gc.collect()
+            before = gc.get_stats()[0]["collections"]
+            value = parse(text)
+            return gc.get_stats()[0]["collections"] - before, value
+
+        was = gc.isenabled()
+        gc.enable()
+        try:
+            decoded, got = collections(_matrix_from_text)
+            parsed = collections(json.loads)[0]
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert got.tobytes() == a.tobytes()
+        assert decoded == 0 and parsed > 100, (decoded, parsed)
 
 
 class TestDeterminism:

@@ -45,6 +45,20 @@ class TestDigraphOf:
             digraph_of(np.ones((2, 3)))
 
 
+class TestDigraphConstructor:
+    # int() would truncate the arc end 1.7 to vertex 1.
+    @pytest.mark.parametrize(
+        "n, arcs", [(2.0, [(1, 2)]), (3, [(1.7, 2)])], ids=["float-n", "float-arc-end"]
+    )
+    def test_vertex_count_and_arc_ends_must_be_integers(self, n, arcs):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Digraph(n, arcs)
+
+    def test_numpy_integers(self):
+        g = Digraph(np.int64(3), [(np.int8(1), np.int64(2))])
+        assert g.n == 3 and g.sorted_arcs == [(1, 2)]
+
+
 class TestCyclicIndex:
     @pytest.mark.parametrize("h", [2, 3, 4])
     def test_single_cycle(self, h):
@@ -283,5 +297,14 @@ class TestPartitionHelpers:
             CyclicPartition(2, ((bad,), (2,)))
 
     def test_numpy_integer_entries(self):
-        part = CyclicPartition(2, (tuple(np.array([3, 1])), (np.int64(2),)))
+        part = CyclicPartition(np.int64(2), (tuple(np.array([3, 1])), (np.int64(2),)))
         assert part.classes == ((1, 3), (2,))
+        assert type(part.h) is int
+
+    @pytest.mark.parametrize(
+        "h, classes", [(2.0, ((1,), (2,))), (True, ((1,),))], ids=["float", "bool"]
+    )
+    def test_h_must_be_an_integer(self, h, classes):
+        # 2.0 == 2 and True == 1, so the class count alone lets both through.
+        with pytest.raises(ValueError, match="must be an integer"):
+            CyclicPartition(h, classes)
