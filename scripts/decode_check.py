@@ -12,11 +12,13 @@ object with ``rows``, ``cols`` and ``data``) must take the text decoder,
 ``scripts/cli_diff.py`` compares output rendered at 12 significant digits,
 which hides the low-order bits that this check sees.  Each file is
 reported with the share of its pairs that the decoder took as zero
-without parsing, its size and the ``tracemalloc`` peak of its decoding.
-The decoder works through the text in segments, so that peak may exceed
-the result's bytes by at most ``ALLOWANCE``, whatever the size of the
-text.  The exit status is 1 if any file is declined, differs or goes
-over that bound.
+without parsing, the share of its numbers that it read in numpy rather
+than with ``json.loads``, its size and the ``tracemalloc`` peak of its
+decoding.  The decoder works through the text in segments, so that peak
+may exceed the result's bytes by at most ``ALLOWANCE``, whatever the size
+of the text.  The exit status is 1 if any file is declined, differs, goes
+over that bound or sends more than ``JSON_SHARE`` of its numbers to
+``json.loads``, which would leave the numpy reading idle.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -37,6 +40,17 @@ from hcyclic.matrix_core import _ZERO_PAIR, _matrix_from_text, matrix_from_json 
 WORKLOADS = ("ingest-large", "zero-structure", "synthesize")
 # What a decoding may hold beside its result.
 ALLOWANCE = 6 * 2**20
+# The most of a file's numbers that may go to json.loads.
+JSON_SHARE = 0.01
+
+
+def numbers_to_json(text: bytes) -> int:
+    """How many numbers the text decoder hands to ``json.loads``."""
+    parsed = []
+    loads = json.loads
+    with mock.patch.object(json, "loads", lambda s: parsed.append(loads(s)) or parsed[-1]):
+        _matrix_from_text(text)
+    return sum(map(len, parsed))
 
 
 def check_file(path: Path) -> str | None:
@@ -58,11 +72,14 @@ def check_file(path: Path) -> str | None:
         return f"{path.name}: declined by the text decoder"
     if got.shape != want.shape or got.tobytes() != want.tobytes():
         return f"{path.name}: differs from json.loads"
+    to_json = numbers_to_json(text) / (2 * want.size)
     print(f"  {path.name}: {want.shape[0]}x{want.shape[1]}, {skipped:.0%} of pairs skipped, identical;"
-          f" {len(text) / 1e6:.2f} MB text, decode peak {peak / 1e6:.2f} MB,"
-          f" result {got.nbytes / 1e6:.2f} MB")
+          f" {1 - to_json:.3%} of numbers in numpy; {len(text) / 1e6:.2f} MB text,"
+          f" decode peak {peak / 1e6:.2f} MB, result {got.nbytes / 1e6:.2f} MB")
     if peak > got.nbytes + ALLOWANCE:
         return f"{path.name}: decode peak {peak} bytes exceeds the result's {got.nbytes} + {ALLOWANCE}"
+    if to_json > JSON_SHARE:
+        return f"{path.name}: {to_json:.2%} of numbers went to json.loads, over {JSON_SHARE:.0%}"
     return None
 
 

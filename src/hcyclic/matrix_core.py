@@ -581,15 +581,41 @@ def matrix_to_json(a) -> dict:
 _CANONICAL_HEAD = re.compile(rb'\{"rows": ([1-9][0-9]{0,17}), "cols": ([1-9][0-9]{0,17}), "data": \[')
 _SPACE = b" \t\n\r"
 _NUMBER_OR_SPACE = b"0123456789+-.eE" + _SPACE
-_BRACKETS_TO_SPACES = bytes.maketrans(b"[]", b"  ")
 # Bytes of text decoded at a time; a segment runs on to the next ``]``.
-_SEGMENT = 1 << 20
-# The separator ``json.dumps`` writes between two pairs, and a pair of +0.0
-# with the separator after it, read as little-endian 4- and 8-byte words.
+_SEGMENT = 1 << 18
+# The separator ``json.dumps`` writes between two pairs, and a pair of
+# +0.0 as it writes one, read as little-endian 4-, 8- and 2-byte words.
 _SEPARATOR = int.from_bytes(b"], [", "little")
 _ZERO_PAIR = b"[0.0, 0.0], "
 _ZERO_HEAD = int.from_bytes(_ZERO_PAIR[:8], "little")
 _ZERO_TAIL = int.from_bytes(_ZERO_PAIR[8:], "little")
+# Characters of a number read at a time, as four 8-byte words, and the
+# most digits after the point whose power of ten a long double holds exactly.
+_WINDOW = 32
+_MAX_FRACTION = 27
+# Row j, column n: the bytes of word j of the window that hold its last n characters.
+_LAST = np.array([[2**64 - 2 ** (64 - 8 * min(max(n - 8 * j, 0), 8)) for n in range(_WINDOW + 1)]
+                  for j in (3, 2, 1, 0)], np.uint64)
+_ZEROS = np.uint64(int.from_bytes(b"0" * 8, "little"))
+_POWERS = np.multiply.accumulate(np.array([1] + [10] * _MAX_FRACTION, np.longdouble))
+
+
+def _long_double_bits() -> int:
+    """How many bits of a long double's significand lie below a double's;
+    0 unless there are at least 11 (a 64-bit significand, as on x86-64
+    Linux), the low ones come first in 16 little-endian bytes, and 10^19 -
+    1 and 10^27 are exact."""
+    extra = np.finfo(np.longdouble).nmant - 52
+    dtype = np.dtype(np.longdouble)
+    if not 11 <= extra <= 64 or dtype.itemsize != 16 or dtype.byteorder == ">":
+        return 0
+    probes = np.array([1, 10**19 - 1], np.uint64).astype(np.longdouble)
+    probes[0] += np.longdouble(2.0**-53)  # halfway between 1 and the next double
+    halfway = int(probes.view(np.uint64)[0]) & (1 << extra) - 1 == 1 << extra - 1
+    return extra if halfway and int(probes[1]) == 10**19 - 1 and int(_POWERS[-1]) == 10**27 else 0
+
+
+_EXTRA_BITS = _long_double_bits()
 
 
 def _words(data: bytes, dtype: str, at: np.ndarray) -> np.ndarray:
@@ -598,11 +624,121 @@ def _words(data: bytes, dtype: str, at: np.ndarray) -> np.ndarray:
     return np.ndarray((len(data) - np.dtype(dtype).itemsize + 1,), dtype, data, 0, (1,))[at]
 
 
+def _eight_digits(d: np.ndarray) -> np.ndarray:
+    """The integer that each little-endian word of eight digit values
+    (bytes 0-9, the first the most significant) spells: three
+    multiply-shift-mask steps join them in pairs, fours and eights."""
+    d = (d * np.uint64(10 << 8 | 1)) >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)
+    d = (d * np.uint64(100 << 16 | 1)) >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)
+    return (d * np.uint64(10000 << 32 | 1)) >> np.uint64(32)
+
+
+def _decimals(segment: bytes, start: np.ndarray, end: np.ndarray,
+              point: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    r"""The double of each number ``segment[start:end]`` with its point at
+    ``point`` (-1 for none or more than one), and whether it is the double
+    ``json.loads`` reads: True for the spelling ``-?(0|[1-9][0-9]*)\.[0-9]+``
+    with at most 19 significant digits and at most 27 after the point,
+    unless rounding twice could err.
+
+    The 32 characters up to a number's end are read as four little-endian
+    8-byte words, those before the point moved one place on over it, and
+    :func:`_eight_digits` turns the digits into an integer m < 10^19,
+    checking that each is one; k is the count of digits after the point.
+    Both m and 10^k are exact in a long double with a 64-bit significand,
+    so m / 10^k is rounded once there.  The double nearest that quotient
+    is the double nearest m / 10^k, which ``json.loads`` reads, unless the
+    quotient lies halfway between two doubles: were the two different, a
+    point halfway between two doubles would lie between the quotient and
+    m / 10^k, or on the quotient, and having 54 significant bits it is a
+    long double, so it cannot be nearer to m / 10^k.  The low bits of the
+    quotient's significand show those halfway quotients."""
+    u8 = np.frombuffer(segment, np.uint8)
+    negative = u8[start] == ord("-")
+    start = start + negative
+    digits, fraction = end - start - 1, end - point - 1
+    # The 32 characters up to each number's end, those before its point
+    # moved one place on over it, so that its digits end the window.
+    words = _words(b"0" * _WINDOW + segment, "<u8", end + np.arange(0, _WINDOW, 8)[:, None])
+    moved = words << np.uint64(8)
+    moved[1:] |= words[:-1] >> np.uint64(56)
+    words ^= moved
+    words &= _LAST.take(fraction, axis=1, mode="clip")
+    words ^= moved ^ _ZEROS
+    words &= _LAST.take(digits, axis=1, mode="clip")
+    low = words[1:]
+    bad = (low | low + np.uint64(0x7676767676767676)) & np.uint64(0x8080808080808080)
+    parts = _eight_digits(low)
+    exact = (bad[0] | bad[1] | bad[2] | words[0] == 0) & (parts[0] < 1000)  # digits, m < 10^19
+    exact &= (point > start) & (point < end - 1) & (fraction <= _MAX_FRACTION) & (digits <= _WINDOW)
+    exact &= (point == start + 1) | (u8[start] != ord("0"))
+    mantissa = parts[0] * np.uint64(10**16) + parts[1] * np.uint64(10**8) + parts[2]
+    quotient = mantissa.astype(np.longdouble) / _POWERS.take(fraction, mode="clip")
+    below = quotient.view(np.uint64)[::2] & np.uint64((1 << _EXTRA_BITS) - 1)
+    exact &= below != np.uint64(1 << _EXTRA_BITS - 1)  # halfway between two doubles
+    got = quotient.astype(np.float64)
+    got.view(np.uint64)[:] |= negative.astype(np.uint64) << np.uint64(63)
+    return got, exact
+
+
+def _segment_numbers(segment: bytes, values: np.ndarray, zero: np.ndarray | None = None) -> bool:
+    """Store the numbers of a segment whose skeleton is proved into
+    ``values``, two per pair, bit for bit as ``json.loads`` reads them;
+    False when a number character stands outside a pair, a slot does not
+    hold one JSON number or a number is not finite.  The pairs marked in
+    ``zero`` are written ``[0.0, 0.0]`` and left as ``values`` holds them.
+
+    Each ``],[`` between two pairs must be there once its whitespace is
+    deleted, so no number character stands outside a pair; when every
+    separator is written ``], [``, one numpy test of the four bytes before
+    each ``[`` settles it without the deletion.  The offsets of the
+    skeleton's bytes bound the two slots of each pair; a space after a
+    comma, as ``json.dumps`` writes it, is passed over.  Each number is
+    read by :func:`_decimals`; those it cannot vouch for and, where a long
+    double is short of 64 significand bits (:func:`_long_double_bits`),
+    all go to one ``json.loads`` of the segment's leftovers, which judges
+    their grammar and value.  So ``-0.0`` is -0.0 and ``-0``, an integer,
+    is +0.0.
+    """
+    u8 = np.frombuffer(segment, np.uint8)
+    count = len(values)
+    marks = np.flatnonzero((u8 == ord(",")) | (u8 & 0xF9 == 0x59))  # ``[,],`` for each pair
+    if (np.count_nonzero(_words(segment, "<u4", marks[4::4] - 3) == _SEPARATOR) != count // 2 - 1
+            and segment.translate(None, _SPACE).count(b"],[") != count // 2 - 1):
+        return False
+    starts, ends = np.empty(count, np.intp), np.empty(count, np.intp)
+    starts[::2], starts[1::2] = marks[::4] + 1, marks[1::4] + 1
+    ends[::2], ends[1::2] = marks[1::4], marks[2::4]
+    starts += u8[starts] == ord(" ")
+    slow = np.arange(count) if zero is None else np.flatnonzero(np.repeat(~zero, 2))
+    if _EXTRA_BITS:
+        start, end = starts[slow], ends[slow]
+        dots = np.flatnonzero(u8 == ord("."))
+        if len(dots) == count and (dots > starts).all() and (dots < ends).all():
+            point = dots[slow]  # one point in each slot
+        else:
+            at = np.searchsorted(dots, start)
+            point = np.append(dots, -1)[at]
+            point[np.searchsorted(dots, end) - at != 1] = -1  # no point, or more than one
+        values[slow], exact = _decimals(segment, start, end, point)
+        slow = slow[~exact]
+    if len(slow):
+        texts = (segment[i:j] for i, j in zip(starts[slow].tolist(), ends[slow].tolist()))
+        try:
+            parsed = np.fromiter(json.loads(b"[" + b",".join(texts) + b"]"), np.float64, len(slow))
+        except (ValueError, OverflowError):  # a malformed number, or an int beyond float
+            return False
+        if not np.all(np.isfinite(parsed)):
+            return False
+        values[slow] = parsed
+    return True
+
+
 def _matrix_from_text(text: bytes) -> np.ndarray | None:
     """The matrix of the canonical text ``{"rows": R, "cols": C, "data":
     [[re, im], ...]}``, decoded as :func:`matrix_from_json` decodes
-    ``json.loads(text)``; None for any other text, valid or not, which
-    the caller decodes that way.
+    ``json.loads(text)``, bit for bit; None for any other text, valid or
+    not, which the caller decodes that way.
 
     The pairs are decoded in segments of about ``_SEGMENT`` bytes, each
     from a pair's ``[`` to a pair's ``]``, straight into the result, so
@@ -611,23 +747,21 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     and then ``,[,]`` for each further pair, the text before the first
     segment nothing, between two segments ``,`` and after the last
     ``]}``.  That proves the pair structure and leaves no room for a
-    bool, null, string or nested value.  Each ``],[`` between two pairs
-    of a segment must be there once its whitespace is deleted, so no
-    number character stands outside a pair; when every separator is
-    written ``], [``, one numpy test of the four bytes before each ``[``
-    settles it without the deletion.  Each pair written exactly
-    ``[0.0, 0.0], `` inside the segment is found with numpy on the
-    bytes, taken as +0.0 (the value ``json.loads`` reads there) and cut
-    with its separator; ``-0.0``, ``0``, any other spelling and the
-    segment's last pair stay for the parser.  An h-cyclic matrix is zero
-    off its cycle pattern, at least half of its entries for h >= 2, so
-    most of its pairs are cut.
-    Turning the brackets into spaces leaves a flat list of numbers for
-    one ``json.loads``, the same number parser, so an empty slot, ``01``,
-    ``+1`` or ``1.`` fails there and ``1e400`` is caught by the finite
-    test.  The result is allocated after a lower bound on the text
-    length, so a header that claims more entries than the text can hold
-    costs nothing."""
+    bool, null, string or nested value.  Each pair written exactly
+    ``[0.0, 0.0], `` is found with numpy (one 8-byte and one 4-byte
+    comparison at each ``[``) and is +0.0, the value ``json.loads`` reads
+    there; ``-0.0``, ``0``, any other spelling and the segment's last
+    pair are read.  An h-cyclic matrix is zero off its cycle pattern, at
+    least half of its entries for h >= 2.  Where the zero pairs come in
+    runs, fewer than one run per 16 pairs, the runs are cut from the
+    segment; elsewhere their numbers are passed over.
+    :func:`_segment_numbers` reads the rest: in numpy, with one
+    long-double division each, the numbers written with a point and no
+    exponent, as ``repr`` and ``%.12g`` write most; through ``json.loads``
+    the others, so an empty slot, ``01``, ``+1`` or ``1.`` fails there
+    and ``1e400`` is caught by the finite test.  The result is allocated
+    after a lower bound on the text length, so a header that claims more
+    entries than the text can hold costs nothing."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -648,31 +782,24 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
         k = (len(skeleton) + 1) // 4
         if done + k > pairs or skeleton != (b",[,]" * k)[1:]:
             return None
-        n = len(segment)
-        opens = np.flatnonzero(np.frombuffer(segment, np.uint8) == ord("["))  # one per pair
-        if (np.count_nonzero(_words(segment, "<u4", opens[1:] - 3) == _SEPARATOR) != k - 1
-                and segment.translate(None, _SPACE).count(b"],[") != k - 1):
-            return None
-        zero = np.zeros(k, bool)
+        values, zero = out[done:done + k], None
         if _ZERO_PAIR in segment:
-            opens = opens[:np.searchsorted(opens, n - 11)]  # the pairs with 12 bytes to test
-            hit = zero[:len(opens)]
-            np.equal(_words(segment, "<u8", opens), _ZERO_HEAD, out=hit)
-            hit &= _words(segment, "<u4", opens + 8) == _ZERO_TAIL
-            keep = np.ones(n, bool)
-            np.ndarray((n - 11, 12), bool, keep, 0, (1, 1))[opens[hit]] = False
-            segment = np.frombuffer(segment, np.uint8)[keep].tobytes()
-            del keep
-        numbers = b"[" + segment.translate(_BRACKETS_TO_SPACES) + b"]"
-        del segment, skeleton, opens
-        try:
-            values = np.fromiter(json.loads(numbers), np.float64)
-        except (ValueError, OverflowError):  # a malformed number, or an int beyond float
+            opens = np.flatnonzero(np.frombuffer(segment, np.uint8) == ord("["))  # one per pair
+            tested = opens[:np.searchsorted(opens, len(segment) - 11)]  # the pairs with 12 bytes to test
+            zero = np.zeros(k, bool)
+            zero[:len(tested)] = _words(segment, "<u8", tested) == _ZERO_HEAD
+            zero[:len(tested)] &= _words(segment, "<u4", tested + 8) == _ZERO_TAIL
+            # Where the zero pairs come in few runs, the runs are cut from the segment.
+            flips = np.flatnonzero(np.diff(zero, prepend=True, append=True))
+            if 8 * len(flips) < k:
+                bounds = np.append(opens, len(segment))[flips].tolist()
+                segment = b"".join([segment[i:j] for i, j in zip(bounds[::2], bounds[1::2])])
+                kept, zero = ~zero, None
+                values = np.zeros(np.count_nonzero(kept), complex)
+        if not _segment_numbers(segment, values.view(np.float64), zero):
             return None
-        del numbers
-        if len(values) != 2 * (k - np.count_nonzero(zero)) or not np.all(np.isfinite(values)):
-            return None
-        out[done:done + k][~zero] = values.view(complex)
+        if len(values) < k:
+            out[done:done + k][kept] = values
         done += k
         gap = b","
     if done != pairs or text[pos:].translate(None, _SPACE) != b"]}":

@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import decimal
 import gc
 import hashlib
 import io
@@ -8,12 +9,13 @@ import re
 import subprocess
 import sys
 import tracemalloc
+from decimal import Decimal
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import hcyclic
@@ -1141,7 +1143,11 @@ class TestRendererOracle:
 # What a mutation may put in place of one number of a matrix text.
 NUMBER_SWAPS = ["true", "false", "null", '"1"', "NaN", "Infinity", "-Infinity", "+1", "01",
                 "1.", ".5", "1e400", "-1E400", str(10 ** 400), "-0", "-0.0", "1E5", "1e-400",
-                "[1]", "{}", "1 2", "1-2", "e", ""]
+                "[1]", "{}", "1 2", "1-2", "e", "",
+                # Spellings at the edges of the numpy reading of numbers.
+                "0", "-0e0", "00.5", "-.5", "1.2.3", "1.5e", "- 1.5", "9007199254740993.0",
+                "0.1234567890123456789", "0.12345678901234567891", "1234567890123456789.0",
+                "0.000000000000000000000000001", "0.0000000000000000000000000001"]
 # Number characters a mutation may put outside the pairs.
 STRAY_CHARACTERS = list("0123456789.eE+-")
 # Mutations that keep the canonical layout, which the text decoder must take.
@@ -1265,31 +1271,95 @@ def check_matrix_text(tmp_path_factory, case):
         assert cli._load_matrix(str(path)).tobytes() == want.tobytes()
 
 
-# Texts whose segments of _SEGMENT bytes split them at chosen pairs, with
-# the number list that each segment hands to json.loads.
+# Texts whose segments of _SEGMENT bytes split them at chosen pairs: for
+# each segment, the text handed to _segment_numbers, the pairs it passes
+# over as zero (None: it was not told of any) and the numbers it sends to
+# json.loads while numpy reads the rest.
 SEGMENT_CASES = {
-    # Pairs 0 and 1 are cut; pair 2 ends the segment and is parsed.
-    "zero-pairs-only": (24, [[0.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.5, -2.5]],
-                        ', ', [b"[ 0.0, 0.0 ]", b"[ 1.5, -2.5 ]"]),
-    # The zero pair's ", " falls in the next segment, so it is parsed.
-    "zero-pair-ends-segment": (12, [[1.5, 2.5], [0.0, 0.0], [3.5, 4.5]],
-                               ', ', [b"[ 1.5, 2.5 ,  0.0, 0.0 ]", b"[ 3.5, 4.5 ]"]),
+    # Pairs 0 and 1 are passed over; pair 2 ends the segment and is read.
+    "zero-pairs-only": (24, [["0.0", "0.0"]] * 3 + [["1.5", "-2.5"]], ", ", [
+        (b"[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]", [0, 1], []),
+        (b"[1.5, -2.5]", None, []),
+    ]),
+    # The zero pair's ", " falls in the next segment, so it is read.
+    "zero-pair-ends-segment": (12, [["1.5", "2.5"], ["0.0", "0.0"], ["3.5", "4.5"]], ", ", [
+        (b"[1.5, 2.5], [0.0, 0.0]", None, []),
+        (b"[3.5, 4.5]", None, []),
+    ]),
     # Every pair is a segment, and the separators between them are spaced.
-    "whitespace-between-segments": (1, [[1.5, 2.5], [0.0, 0.0], [3.5, 4.5]],
-                                    ' ,\n\t ', [b"[ 1.5, 2.5 ]", b"[ 0.0, 0.0 ]", b"[ 3.5, 4.5 ]"]),
+    "whitespace-between-segments": (1, [["1.5", "2.5"], ["0.0", "0.0"], ["3.5", "4.5"]], " ,\n\t ", [
+        (b"[1.5, 2.5]", None, []),
+        (b"[0.0, 0.0]", None, []),
+        (b"[3.5, 4.5]", None, []),
+    ]),
     # The second segment's search for a "]" stops at the last pair's.
-    "segment-ends-at-last-pair": (12, [[1.5, 2.5], [3.5, 4.5], [5.5, 6.5], [7.5, 8.5]],
-                                  ', ', [b"[ 1.5, 2.5 ,  3.5, 4.5 ]", b"[ 5.5, 6.5 ,  7.5, 8.5 ]"]),
+    "segment-ends-at-last-pair": (12, [[f"{i}.5", f"{i + 1}.5"] for i in (1, 3, 5, 7)], ", ", [
+        (b"[1.5, 2.5], [3.5, 4.5]", None, []),
+        (b"[5.5, 6.5], [7.5, 8.5]", None, []),
+    ]),
+    # One run of zero pairs is cut.  A number with an exponent and one
+    # halfway between two doubles (2^53 + 1) go to json.loads.
+    "zero-run-cut": (1 << 18, [["0.0", "0.0"]] * 20 + [["1E5", "0.1"], ["2.5", "9007199254740993.0"]], ", ", [
+        (b"[1E5, 0.1], [2.5, 9007199254740993.0]", None, [b"1E5", b"9007199254740993.0"]),
+    ]),
 }
 
 
+def number_text(pairs) -> bytes:
+    data = ", ".join(f"[{re_}, {im}]" for re_, im in pairs)
+    return f'{{"rows": 1, "cols": {len(pairs)}, "data": [{data}]}}'.encode()
+
+
+def midpoint(x: float, toward: float) -> Decimal:
+    """The exact point halfway between x and the next double toward ``toward``."""
+    return (Decimal(x) + Decimal(float(np.nextafter(x, toward)))) / 2
+
+
+@st.composite
+def number_spellings(draw):
+    """One JSON number as a matrix file may spell it, near the edges of the
+    numpy reading of numbers: ``repr`` of any finite bit pattern
+    (subnormals and the largest doubles among them), ``%.12g`` as the CLI
+    writes, points halfway between two doubles (on both sides of a power
+    of two) written out or rounded to 17, 19 or 20 significant digits, 19 and 20
+    significant digits with 19, 27 or 28 after the point, and literals."""
+    kind = draw(st.sampled_from(["bits", "%.12g", "halfway", "digits", "literal"]))
+    if kind == "bits":
+        x = np.frombuffer(draw(st.binary(min_size=8, max_size=8)), np.float64)[0]
+        return repr(float(x)) if np.isfinite(x) else "1.7976931348623157e+308"
+    if kind == "%.12g":
+        return "%.12g" % draw(finite_floats)
+    if kind == "halfway":
+        x = draw(st.one_of(st.integers(-80, 62).map(lambda e: 2.0 ** e), st.floats(2.0 ** 53, 2.0 ** 63),
+                           st.floats(1e-8, 1e17), st.floats(-1e17, -1e-8)))
+        half = midpoint(x, draw(st.sampled_from([-np.inf, np.inf])))
+        digits = draw(st.sampled_from([None, 17, 19, 19, 20]))
+        if digits is not None:
+            rounding = draw(st.sampled_from([decimal.ROUND_DOWN, decimal.ROUND_UP]))
+            half = half.quantize(Decimal(1).scaleb(half.adjusted() - digits + 1), rounding=rounding)
+        text = format(half, "f")
+        return text if "." in text else text + ".0"
+    if kind == "digits":
+        significant = draw(st.sampled_from([19, 20]))
+        after = draw(st.sampled_from([1, 19, 27, 28]))
+        digits = str(draw(st.integers(10 ** (significant - 1), 10 ** significant - 1)))
+        if after >= significant:
+            text = "0." + "0" * (after - significant) + digits
+        else:
+            text = digits[:significant - after] + "." + digits[significant - after:]
+        return draw(st.sampled_from(["", "-"])) + text
+    return draw(st.sampled_from(["0", "-0", "-0.0", "-0e0", "1E5", "1e-400", "9007199254740993.0"]))
+
+
 class TestCanonicalMatrixText:
-    @settings(max_examples=400)
+    # TestCanonicalMatrixTextInJson runs these again with the numpy reading
+    # of numbers off, which hypothesis sees as a second executor.
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.differing_executors])
     @given(case=matrix_texts())
     def test_matches_json_loads(self, tmp_path_factory, case):
         check_matrix_text(tmp_path_factory, case)
 
-    @settings(max_examples=400)
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.differing_executors])
     @given(case=matrix_texts(), segment=st.integers(1, 48))
     def test_matches_json_loads_in_short_segments(self, tmp_path_factory, case, segment):
         # Segments of 1 to 48 bytes: a text of more than a few pairs spans
@@ -1297,15 +1367,35 @@ class TestCanonicalMatrixText:
         with mock.patch.object(matrix_core, "_SEGMENT", segment):
             check_matrix_text(tmp_path_factory, case)
 
+    @settings(max_examples=400, suppress_health_check=[HealthCheck.differing_executors])
+    @given(numbers=st.lists(number_spellings(), min_size=1, max_size=12))
+    def test_numbers_match_float(self, numbers):
+        # Each number decodes to the bits of float() of what json.loads
+        # reads, -0 (an integer) to +0.0.
+        numbers += ["0.0"] * (len(numbers) % 2)
+        got = _matrix_from_text(number_text(list(zip(numbers[::2], numbers[1::2]))))
+        want = np.array([float(json.loads(number)) for number in numbers])
+        assert got is not None and got.view(np.float64).tobytes() == want.tobytes(), numbers
+
     @pytest.mark.parametrize("name", SEGMENT_CASES)
     def test_segment_boundaries(self, name):
-        segment, pairs, separator, numbers = SEGMENT_CASES[name]
-        data = separator.join(f"[{re_}, {im}]" for re_, im in pairs)
-        text = f'{{"rows": 1, "cols": {len(pairs)}, "data": [{data}]}}'.encode()
+        segment, pairs, separator, expected = SEGMENT_CASES[name]
+        text = number_text(pairs).replace(b"], [", separator.join("][").encode())
+        segment_numbers = matrix_core._segment_numbers
         with mock.patch.object(matrix_core, "_SEGMENT", segment), \
+                mock.patch.object(matrix_core, "_segment_numbers", wraps=segment_numbers) as read, \
                 mock.patch.object(json, "loads", wraps=json.loads) as parse:
             got = _matrix_from_text(text)
-        assert [c.args[0] for c in parse.call_args_list] == numbers
+        handed = [(c.args[0], None if c.args[2] is None else np.flatnonzero(c.args[2]).tolist())
+                  for c in read.call_args_list]
+        assert handed == [(seg, zero) for seg, zero, _ in expected]
+        if not matrix_core._EXTRA_BITS:
+            # Every number of a pair not passed over goes to json.loads.
+            expected = [(seg, zero, [number for i, pair in enumerate(re.findall(rb"\[([^\]]*)\]", seg))
+                                     if i not in (zero or []) for number in pair.split(b", ")])
+                        for seg, zero, _ in expected]
+        assert [c.args[0] for c in parse.call_args_list] == [
+            b"[" + b",".join(numbers) + b"]" for _, _, numbers in expected if numbers]
         assert got.tobytes() == matrix_from_json(json.loads(text)).tobytes()
 
     def test_decode_peak_is_result_plus_six_mib(self):
@@ -1323,6 +1413,16 @@ class TestCanonicalMatrixText:
             tracemalloc.stop()
         assert got.tobytes() == a.tobytes()
         assert peak <= got.nbytes + 6 * 2**20, (len(text), peak)
+
+
+class TestCanonicalMatrixTextInJson(TestCanonicalMatrixText):
+    """The same tests with the numpy reading of numbers off, as where a
+    long double is short of 64 bits: every number goes to json.loads."""
+
+    @pytest.fixture(autouse=True)
+    def _no_long_double(self):
+        with mock.patch.object(matrix_core, "_EXTRA_BITS", 0):
+            yield
 
 
 @st.composite

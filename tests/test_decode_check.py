@@ -1,6 +1,6 @@
 """``scripts/decode_check.py`` checks the text decoder on every matrix file
 of the benchmark's inputs; on the smoke-test sizes it must find them all
-identical and within the memory bound."""
+identical, within the memory bound and read in numpy."""
 
 import subprocess
 import sys
@@ -22,5 +22,6 @@ def test_decode_check_tiny():
         assert f"{workload} seed=1:" in lines
     h5 = [line for line in lines if line.startswith("  h5.json: ")]
     assert h5 and h5[0].startswith("  h5.json: 100x100, 80% of pairs skipped, identical; ")
+    assert "; 100.000% of numbers in numpy; " in h5[0]
     assert "decode peak" in h5[0]
     assert lines[-1] == "total: 0 mismatches"
