@@ -682,17 +682,14 @@ def _decimals(segment: bytes, start: np.ndarray, end: np.ndarray,
 
 
 def _segment_numbers(segment: bytes, values: np.ndarray, zero: np.ndarray | None = None) -> bool:
-    """Store the numbers of a segment whose skeleton is proved into
-    ``values``, two per pair, bit for bit as ``json.loads`` reads them;
-    False when a number character stands outside a pair, a slot does not
-    hold one JSON number or a number is not finite.  The pairs marked in
-    ``zero`` are written ``[0.0, 0.0]`` and left as ``values`` holds them.
+    """Store the numbers of a segment whose skeleton and separators are
+    proved into ``values``, two per pair, bit for bit as ``json.loads``
+    reads them; False when a slot does not hold one JSON number or a
+    number is not finite.  The pairs marked in ``zero`` are written
+    ``[0.0, 0.0]`` and left as ``values`` holds them.
 
-    Each ``],[`` between two pairs must be there once its whitespace is
-    deleted, so no number character stands outside a pair; when every
-    separator is written ``], [``, one numpy test of the four bytes before
-    each ``[`` settles it without the deletion.  The offsets of the
-    skeleton's bytes bound the two slots of each pair; a space after a
+    The offsets of the skeleton's bytes bound the two slots of each pair,
+    as no number character stands outside one; a space after a
     comma, as ``json.dumps`` writes it, is passed over.  Each number is
     read by :func:`_decimals`; those it cannot vouch for and, where a long
     double is short of 64 significand bits (:func:`_long_double_bits`),
@@ -703,9 +700,6 @@ def _segment_numbers(segment: bytes, values: np.ndarray, zero: np.ndarray | None
     u8 = np.frombuffer(segment, np.uint8)
     count = len(values)
     marks = np.flatnonzero((u8 == ord(",")) | (u8 & 0xF9 == 0x59))  # ``[,],`` for each pair
-    if (np.count_nonzero(_words(segment, "<u4", marks[4::4] - 3) == _SEPARATOR) != count // 2 - 1
-            and segment.translate(None, _SPACE).count(b"],[") != count // 2 - 1):
-        return False
     starts, ends = np.empty(count, np.intp), np.empty(count, np.intp)
     starts[::2], starts[1::2] = marks[::4] + 1, marks[1::4] + 1
     ends[::2], ends[1::2] = marks[1::4], marks[2::4]
@@ -747,14 +741,20 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     and then ``,[,]`` for each further pair, the text before the first
     segment nothing, between two segments ``,`` and after the last
     ``]}``.  That proves the pair structure and leaves no room for a
-    bool, null, string or nested value.  Each pair written exactly
-    ``[0.0, 0.0], `` is found with numpy (one 8-byte and one 4-byte
-    comparison at each ``[``) and is +0.0, the value ``json.loads`` reads
-    there; ``-0.0``, ``0``, any other spelling and the segment's last
-    pair are read.  An h-cyclic matrix is zero off its cycle pattern, at
-    least half of its entries for h >= 2.  Where the zero pairs come in
-    runs, fewer than one run per 16 pairs, the runs are cut from the
-    segment; elsewhere their numbers are passed over.
+    bool, null, string or nested value.  Each ``],[`` between two pairs
+    of a segment must be there once its whitespace is deleted, so no
+    number character stands outside a pair; when every separator is
+    written ``], [``, one numpy test of the four bytes before each ``[``
+    settles it without the deletion.  Each pair written exactly ``[0.0,
+    0.0], `` is found with numpy (one 8-byte and one 4-byte comparison at
+    each ``[``) and is +0.0, the value ``json.loads`` reads there;
+    ``-0.0``, ``0``, any other spelling and the segment's last pair are
+    read.  An h-cyclic matrix is zero off its cycle pattern, at least half
+    of its entries for h >= 2.  Where the zero pairs come in runs, fewer
+    than one run per 16 pairs, the runs are cut from the segment;
+    elsewhere their numbers are passed over.  The separators are proved
+    before any cut, on the segment as written, since a cut drops the text
+    between a run and the next pair.
     :func:`_segment_numbers` reads the rest: in numpy, with one
     long-double division each, the numbers written with a point and no
     exponent, as ``repr`` and ``%.12g`` write most; through ``json.loads``
@@ -782,14 +782,19 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
         k = (len(skeleton) + 1) // 4
         if done + k > pairs or skeleton != (b",[,]" * k)[1:]:
             return None
+        opens = np.flatnonzero(np.frombuffer(segment, np.uint8) == ord("["))  # one per pair
+        if (np.count_nonzero(_words(segment, "<u4", opens[1:] - 3) == _SEPARATOR) != k - 1
+                and segment.translate(None, _SPACE).count(b"],[") != k - 1):
+            return None
         values, zero = out[done:done + k], None
         if _ZERO_PAIR in segment:
-            opens = np.flatnonzero(np.frombuffer(segment, np.uint8) == ord("["))  # one per pair
             tested = opens[:np.searchsorted(opens, len(segment) - 11)]  # the pairs with 12 bytes to test
             zero = np.zeros(k, bool)
             zero[:len(tested)] = _words(segment, "<u8", tested) == _ZERO_HEAD
             zero[:len(tested)] &= _words(segment, "<u4", tested + 8) == _ZERO_TAIL
-            # Where the zero pairs come in few runs, the runs are cut from the segment.
+            # Where the zero pairs come in few runs, the runs are cut from the
+            # segment.  A cut costs a slice per run: with half the pairs zero,
+            # runs of one or two pairs decode slower cut than passed over.
             flips = np.flatnonzero(np.diff(zero, prepend=True, append=True))
             if 8 * len(flips) < k:
                 bounds = np.append(opens, len(segment))[flips].tolist()

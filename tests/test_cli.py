@@ -515,6 +515,9 @@ class TestExitCodes:
         '{"rows": 1, "cols": 2, "data": [[1, 2]5, [3, 4]]}',
         '{"rows": 1, "cols": 1, "data": [[1, ]7]}',
         '{"rows": 1, "cols": 2, "data": [[1, 2], 7[, 3]]}',
+        # Between a run of zero pairs and the next pair: cutting the run
+        # from the text must not cut the 7 with it.
+        '{"rows": 1, "cols": 18, "data": [' + "[0.0, 0.0], " * 16 + '7[1.5, 2.5], [3.5, 4.5]]}',
     ])
     def test_number_outside_pairs_is_rejected(self, capsys, tmp_path, text):
         # A number character outside the pairs must not be glued onto a
@@ -1170,8 +1173,9 @@ def matrix_texts(draw):
     """A matrix file as ``json.dumps(matrix_to_json(a))`` or ``render_json``
     writes it, with zero pairs planted in none, the first, the last, all or
     some of its entries and at most one mutation, and whether the text is
-    still in the canonical layout."""
-    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    still in the canonical layout.  A row of 24 entries gives long runs
+    of zero pairs."""
+    shape = draw(st.one_of(st.tuples(st.integers(1, 3), st.integers(1, 3)), st.just((1, 24))))
     size = shape[0] * shape[1]
     parts = draw(st.lists(finite_floats, min_size=2 * size, max_size=2 * size))
     pairs = np.array(parts).reshape(size, 2)
@@ -1208,14 +1212,18 @@ def matrix_texts(draw):
         data = data[:at] + draw(st.sampled_from(STRAY_CHARACTERS)) + data[at:]
         text = head + '"data": ' + data
     elif how == "stray-zero":
-        # A pair other than the last made a zero pair with a number
-        # character on each side of it; a 1x1 matrix gets one after its pair.
+        # A pair other than the last made a zero pair, and maybe every pair
+        # before it too, with a number character on each side of it; a 1x1
+        # matrix gets one after its pair.  In a row of 24 pairs, the
+        # decoder cuts such a run from the text.
         end = len(data) - 2
         spans = [m.span() for m in re.finditer(r"\[[^\[\]]*\], ", data)] or [(end, end)]
-        start, stop = draw(st.sampled_from(spans))
+        at = draw(st.integers(0, len(spans) - 1))
+        start, stop = spans[at]
         before, after = draw(st.sampled_from(STRAY_CHARACTERS)), draw(st.sampled_from(STRAY_CHARACTERS))
         zero = "[0.0, 0.0], " if stop > start else ""
-        data = data[:start] + before + zero + after + data[stop:]
+        run = "[0.0, 0.0], " * at if stop > start and draw(st.booleans()) else data[1:start]
+        data = data[:1] + run + before + zero + after + data[stop:]
         text = head + '"data": ' + data
     elif how == "stray-slot":
         # One slot of a pair emptied and a digit put beside that pair on
