@@ -5,9 +5,12 @@ and its memory against the size of the matrix it returns.
     python3 scripts/decode_check.py [--seeds 1 2] [--tiny]
 
 For each benchmark workload and seed, ``perfbench/inputs.py`` writes the
-inputs into a temporary directory.  Every matrix file among them (a JSON
-object with ``rows``, ``cols`` and ``data``) must take the text decoder,
-``matrix_core._matrix_from_text``, and give the bytes of
+inputs into a temporary directory.  The benchmark's h-cyclic files are in
+block order, so their zero pairs come in long runs; one relabelled
+2-cyclic 500x500 file, built here from a fixed seed, scatters them.
+Every matrix file among these (a JSON object with ``rows``, ``cols`` and
+``data``) must take the text decoder, ``matrix_core._matrix_from_text``,
+and give the bytes of
 ``matrix_from_json(json.loads(text))``, signed zeros included.
 ``scripts/cli_diff.py`` compares output rendered at 12 significant digits,
 which hides the low-order bits that this check sees.  Each file is
@@ -35,6 +38,9 @@ from unittest import mock
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
+import numpy as np  # noqa: E402
+
+from hcyclic import apply_vertex_permutation, assemble_blocks, matrix_to_json  # noqa: E402
 from hcyclic.matrix_core import _ZERO_PAIR, _matrix_from_text, matrix_from_json  # noqa: E402
 
 WORKLOADS = ("ingest-large", "zero-structure", "synthesize")
@@ -95,13 +101,30 @@ def check(workload: str, seed: int, tiny: bool) -> int:
     return len(faults)
 
 
+def check_scattered() -> int:
+    """Check a relabelled 2-cyclic 500x500 Gaussian matrix: half its pairs
+    are zero, in runs of a pair or two, where the benchmark's block-ordered
+    files have long runs."""
+    rng = np.random.default_rng(0)
+    blocks = [rng.standard_normal((250, 250, 2)) @ (1, 1j) for _ in range(2)]
+    a = apply_vertex_permutation(assemble_blocks(blocks), rng.permutation(500) + 1)
+    with tempfile.TemporaryDirectory(prefix="decode_check-") as tmp:
+        path = Path(tmp) / "scattered.json"
+        path.write_text(json.dumps(matrix_to_json(a)))
+        print("relabelled 2-cyclic seed=0:")
+        fault = check_file(path)
+    if fault:
+        print(f"  MISMATCH {fault}")
+    return int(fault is not None)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
     parser.add_argument("--tiny", action="store_true", help="the benchmark's smoke-test sizes")
     args = parser.parse_args(argv)
-    total = sum(check(w, seed, args.tiny) for seed in args.seeds for w in WORKLOADS)
+    total = sum(check(w, seed, args.tiny) for seed in args.seeds for w in WORKLOADS) + check_scattered()
     print(f"total: {total} mismatches")
     return 1 if total else 0
 

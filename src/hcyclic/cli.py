@@ -21,18 +21,10 @@ that is not finite, a NaN pivot) and reported on one ``error:`` line;
 the warnings would only put numpy's source lines ahead of it.
 
 A matrix file in the canonical layout is decoded from its text by
-``matrix_core._matrix_from_text``; any other takes ``json.loads`` and
-``matrix_from_json``.  The decoder reads a number written with a point
-and no exponent, with at most 19 significant digits and 27 after the
-point, in numpy: its digits as an integer m and the count k after the
-point, and m / 10^k as one long-double division, exact in both operands
-and so rounded once; rounding that to a double gives what ``json.loads``
-reads unless the quotient lies halfway between two doubles.  Those
-quotients, every other spelling and, where a long double is short of 64
-significand bits, every number go to ``json.loads``, so ``-0`` still
-decodes as +0.0 and every value, message and exit code is the parser's.
-A file that is not valid JSON exits 2 with the parser's message after
-the file's path.
+``matrix_core._matrix_from_text``, whose docstring describes the
+decoder; any other takes ``json.loads`` and ``matrix_from_json``.  A
+file that is not UTF-8 or not valid JSON exits 2 with the codec's or the
+parser's message after the file's path.
 """
 
 from __future__ import annotations
@@ -174,10 +166,10 @@ def _render(value, parts: list[str]) -> None:
 def _load_json(path: str, raw: bytes | None = None):
     # ``raw``, when given, is what the file held when read; it is decoded
     # as ``read_text`` decodes, so a pipe need not be read twice.
-    text = Path(path).read_text() if raw is None else io.TextIOWrapper(io.BytesIO(raw)).read()
     try:
+        text = Path(path).read_text() if raw is None else io.TextIOWrapper(io.BytesIO(raw)).read()
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ValueError(f"{path}: {exc}") from None
     except RecursionError:
         raise ValueError(f"{path}: JSON nested too deeply") from None

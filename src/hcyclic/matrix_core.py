@@ -681,40 +681,40 @@ def _decimals(segment: bytes, start: np.ndarray, end: np.ndarray,
     return got, exact
 
 
-def _segment_numbers(segment: bytes, values: np.ndarray, zero: np.ndarray | None = None) -> bool:
-    """Store the numbers of a segment whose skeleton and separators are
-    proved into ``values``, two per pair, bit for bit as ``json.loads``
-    reads them; False when a slot does not hold one JSON number or a
-    number is not finite.  The pairs marked in ``zero`` are written
-    ``[0.0, 0.0]`` and left as ``values`` holds them.
+def _segment_numbers(segment: bytes, marks: np.ndarray, read: np.ndarray, values: np.ndarray) -> bool:
+    """Store the numbers of the pairs ``read`` of a segment whose skeleton
+    and separators are proved into ``values``, the segment's two slots per
+    pair, bit for bit as ``json.loads`` reads them; False when a slot does
+    not hold one JSON number or a number is not finite.  The other pairs
+    are left as ``values`` holds them.
 
-    The offsets of the skeleton's bytes bound the two slots of each pair,
-    as no number character stands outside one; a space after a
-    comma, as ``json.dumps`` writes it, is passed over.  Each number is
-    read by :func:`_decimals`; those it cannot vouch for and, where a long
-    double is short of 64 significand bits (:func:`_long_double_bits`),
-    all go to one ``json.loads`` of the segment's leftovers, which judges
-    their grammar and value.  So ``-0.0`` is -0.0 and ``-0``, an integer,
-    is +0.0.
+    ``marks`` are the offsets of the segment's ``[,],`` bytes, four per
+    pair, so slot s lies between marks 2s - s % 2 and the next, as no
+    number character stands outside a slot; a space after a comma, as
+    ``json.dumps`` writes it, is passed over.  Each number is read by
+    :func:`_decimals`; those it cannot vouch for and, where a long double
+    is short of 64 significand bits (:func:`_long_double_bits`), all go to
+    one ``json.loads`` of the segment's leftovers, which judges their
+    grammar and value.  So ``-0.0`` is -0.0 and ``-0``, an integer, is
+    +0.0.
     """
     u8 = np.frombuffer(segment, np.uint8)
-    count = len(values)
-    marks = np.flatnonzero((u8 == ord(",")) | (u8 & 0xF9 == 0x59))  # ``[,],`` for each pair
-    starts, ends = np.empty(count, np.intp), np.empty(count, np.intp)
-    starts[::2], starts[1::2] = marks[::4] + 1, marks[1::4] + 1
-    ends[::2], ends[1::2] = marks[1::4], marks[2::4]
+    slots = np.repeat(2 * read, 2)
+    slots[1::2] += 1  # the two slots of each pair read
+    at = slots + (slots & -2)  # the ``[`` or ``,`` before each: mark 2s - s % 2
+    starts, ends = marks[at] + 1, marks[at + 1]
     starts += u8[starts] == ord(" ")
-    slow = np.arange(count) if zero is None else np.flatnonzero(np.repeat(~zero, 2))
+    slow = np.arange(len(slots))
     if _EXTRA_BITS:
-        start, end = starts[slow], ends[slow]
         dots = np.flatnonzero(u8 == ord("."))
-        if len(dots) == count and (dots > starts).all() and (dots < ends).all():
-            point = dots[slow]  # one point in each slot
-        else:
-            at = np.searchsorted(dots, start)
-            point = np.append(dots, -1)[at]
-            point[np.searchsorted(dots, end) - at != 1] = -1  # no point, or more than one
-        values[slow], exact = _decimals(segment, start, end, point)
+        # As many points as slots, one in each slot of a zero pair: then
+        # each read slot holds one if the point of its rank lies in it.
+        point = dots[slots] if len(dots) == len(marks) // 2 + 1 else None
+        if point is None or not ((point > starts).all() and (point < ends).all()):
+            first = np.searchsorted(dots, starts)
+            point = np.append(dots, -1)[first]
+            point[np.searchsorted(dots, ends) - first != 1] = -1  # no point, or more than one
+        values[slots], exact = _decimals(segment, starts, ends, point)
         slow = slow[~exact]
     if len(slow):
         texts = (segment[i:j] for i, j in zip(starts[slow].tolist(), ends[slow].tolist()))
@@ -724,7 +724,7 @@ def _segment_numbers(segment: bytes, values: np.ndarray, zero: np.ndarray | None
             return False
         if not np.all(np.isfinite(parsed)):
             return False
-        values[slow] = parsed
+        values[slots[slow]] = parsed
     return True
 
 
@@ -741,27 +741,25 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
     and then ``,[,]`` for each further pair, the text before the first
     segment nothing, between two segments ``,`` and after the last
     ``]}``.  That proves the pair structure and leaves no room for a
-    bool, null, string or nested value.  Each ``],[`` between two pairs
-    of a segment must be there once its whitespace is deleted, so no
-    number character stands outside a pair; when every separator is
-    written ``], [``, one numpy test of the four bytes before each ``[``
-    settles it without the deletion.  Each pair written exactly ``[0.0,
-    0.0], `` is found with numpy (one 8-byte and one 4-byte comparison at
-    each ``[``) and is +0.0, the value ``json.loads`` reads there;
-    ``-0.0``, ``0``, any other spelling and the segment's last pair are
-    read.  An h-cyclic matrix is zero off its cycle pattern, at least half
-    of its entries for h >= 2.  Where the zero pairs come in runs, fewer
-    than one run per 16 pairs, the runs are cut from the segment;
-    elsewhere their numbers are passed over.  The separators are proved
-    before any cut, on the segment as written, since a cut drops the text
-    between a run and the next pair.
-    :func:`_segment_numbers` reads the rest: in numpy, with one
-    long-double division each, the numbers written with a point and no
-    exponent, as ``repr`` and ``%.12g`` write most; through ``json.loads``
-    the others, so an empty slot, ``01``, ``+1`` or ``1.`` fails there
-    and ``1e400`` is caught by the finite test.  The result is allocated
-    after a lower bound on the text length, so a header that claims more
-    entries than the text can hold costs nothing."""
+    bool, null, string or nested value, so one numpy scan for ``[,],``
+    finds four marks per pair, the first of each its ``[``.  Each ``],[``
+    between two pairs of a segment must be there once its whitespace is
+    deleted, so no number character stands outside a pair; when every
+    separator is written ``], [``, one numpy test of the four bytes before
+    each ``[`` settles it without the deletion.  Each pair written exactly
+    ``[0.0, 0.0], `` is found with numpy (one 8-byte and one 4-byte
+    comparison at each ``[``) and is +0.0, the value ``json.loads`` reads
+    there; ``-0.0``, ``0``, any other spelling and the segment's last pair
+    are read.  An h-cyclic matrix is zero off its cycle pattern, at least
+    half of its entries for h >= 2; whether those pairs come in runs or
+    scattered, only the indices of the others are handed on.
+    :func:`_segment_numbers` reads those: in numpy, with one long-double
+    division each, the numbers written with a point and no exponent, as
+    ``repr`` and ``%.12g`` write most; through ``json.loads`` the others,
+    so an empty slot, ``01``, ``+1`` or ``1.`` fails there and ``1e400``
+    is caught by the finite test.  The result is allocated after a lower
+    bound on the text length, so a header that claims more entries than
+    the text can hold costs nothing."""
     head = _CANONICAL_HEAD.match(text)
     if head is None:
         return None
@@ -782,29 +780,20 @@ def _matrix_from_text(text: bytes) -> np.ndarray | None:
         k = (len(skeleton) + 1) // 4
         if done + k > pairs or skeleton != (b",[,]" * k)[1:]:
             return None
-        opens = np.flatnonzero(np.frombuffer(segment, np.uint8) == ord("["))  # one per pair
+        u8 = np.frombuffer(segment, np.uint8)
+        marks = np.flatnonzero((u8 == ord(",")) | (u8 & 0xF9 == 0x59))  # ``[,],`` for each pair
+        opens = marks[::4]
         if (np.count_nonzero(_words(segment, "<u4", opens[1:] - 3) == _SEPARATOR) != k - 1
                 and segment.translate(None, _SPACE).count(b"],[") != k - 1):
             return None
-        values, zero = out[done:done + k], None
+        read = np.arange(k)
         if _ZERO_PAIR in segment:
             tested = opens[:np.searchsorted(opens, len(segment) - 11)]  # the pairs with 12 bytes to test
-            zero = np.zeros(k, bool)
-            zero[:len(tested)] = _words(segment, "<u8", tested) == _ZERO_HEAD
-            zero[:len(tested)] &= _words(segment, "<u4", tested + 8) == _ZERO_TAIL
-            # Where the zero pairs come in few runs, the runs are cut from the
-            # segment.  A cut costs a slice per run: with half the pairs zero,
-            # runs of one or two pairs decode slower cut than passed over.
-            flips = np.flatnonzero(np.diff(zero, prepend=True, append=True))
-            if 8 * len(flips) < k:
-                bounds = np.append(opens, len(segment))[flips].tolist()
-                segment = b"".join([segment[i:j] for i, j in zip(bounds[::2], bounds[1::2])])
-                kept, zero = ~zero, None
-                values = np.zeros(np.count_nonzero(kept), complex)
-        if not _segment_numbers(segment, values.view(np.float64), zero):
+            zero = _words(segment, "<u8", tested) == _ZERO_HEAD
+            zero &= _words(segment, "<u4", tested + 8) == _ZERO_TAIL
+            read = np.append(np.flatnonzero(~zero), read[len(tested):])
+        if not _segment_numbers(segment, marks, read, out[done:done + k].view(np.float64)):
             return None
-        if len(values) < k:
-            out[done:done + k][kept] = values
         done += k
         gap = b","
     if done != pairs or text[pos:].translate(None, _SPACE) != b"]}":

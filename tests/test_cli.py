@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 import hcyclic
 from hcyclic import (
     JordanChain,
+    apply_vertex_permutation,
     assemble_blocks,
     basic_circulant,
     c_k_matrix,
@@ -387,6 +388,21 @@ class TestExitCodes:
         bad.write_text('{"h": 2 "classes": []}')
         with pytest.raises(json.JSONDecodeError) as exc:
             json.loads(bad.read_text())
+        argv = (["detect", "--matrix", str(bad)] if flag == "--matrix"
+                else ["spectrum", "--matrix", files["six"], "--partition", str(bad)])
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: {exc.value}\n"
+
+    @pytest.mark.parametrize("flag", ["--matrix", "--partition"])
+    def test_undecodable_file_names_itself(self, capsys, files, tmp_path, flag):
+        # A byte that is not UTF-8 fails the reading of the text, before
+        # the parser; the message still comes after the file's path.
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"h": 2, "classes": [[1], [2]]}\xff' if flag == "--partition"
+                        else b'{"rows": 1, "cols": 1, "data": [[1.5, \xff]]}')
+        with pytest.raises(UnicodeDecodeError) as exc:
+            bad.read_text()
         argv = (["detect", "--matrix", str(bad)] if flag == "--matrix"
                 else ["spectrum", "--matrix", files["six"], "--partition", str(bad)])
         code, out, err = run_cli(capsys, argv)
@@ -1280,35 +1296,42 @@ def check_matrix_text(tmp_path_factory, case):
 
 
 # Texts whose segments of _SEGMENT bytes split them at chosen pairs: for
-# each segment, the text handed to _segment_numbers, the pairs it passes
-# over as zero (None: it was not told of any) and the numbers it sends to
-# json.loads while numpy reads the rest.
+# each segment, its text as handed to _segment_numbers, the indices of the
+# pairs it reads (the others are [0.0, 0.0] pairs passed over) and the
+# numbers it sends to json.loads while numpy reads the rest.
 SEGMENT_CASES = {
     # Pairs 0 and 1 are passed over; pair 2 ends the segment and is read.
     "zero-pairs-only": (24, [["0.0", "0.0"]] * 3 + [["1.5", "-2.5"]], ", ", [
-        (b"[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]", [0, 1], []),
-        (b"[1.5, -2.5]", None, []),
+        (b"[0.0, 0.0], [0.0, 0.0], [0.0, 0.0]", [2], []),
+        (b"[1.5, -2.5]", [0], []),
     ]),
     # The zero pair's ", " falls in the next segment, so it is read.
     "zero-pair-ends-segment": (12, [["1.5", "2.5"], ["0.0", "0.0"], ["3.5", "4.5"]], ", ", [
-        (b"[1.5, 2.5], [0.0, 0.0]", None, []),
-        (b"[3.5, 4.5]", None, []),
+        (b"[1.5, 2.5], [0.0, 0.0]", [0, 1], []),
+        (b"[3.5, 4.5]", [0], []),
     ]),
     # Every pair is a segment, and the separators between them are spaced.
     "whitespace-between-segments": (1, [["1.5", "2.5"], ["0.0", "0.0"], ["3.5", "4.5"]], " ,\n\t ", [
-        (b"[1.5, 2.5]", None, []),
-        (b"[0.0, 0.0]", None, []),
-        (b"[3.5, 4.5]", None, []),
+        (b"[1.5, 2.5]", [0], []),
+        (b"[0.0, 0.0]", [0], []),
+        (b"[3.5, 4.5]", [0], []),
     ]),
     # The second segment's search for a "]" stops at the last pair's.
     "segment-ends-at-last-pair": (12, [[f"{i}.5", f"{i + 1}.5"] for i in (1, 3, 5, 7)], ", ", [
-        (b"[1.5, 2.5], [3.5, 4.5]", None, []),
-        (b"[5.5, 6.5], [7.5, 8.5]", None, []),
+        (b"[1.5, 2.5], [3.5, 4.5]", [0, 1], []),
+        (b"[5.5, 6.5], [7.5, 8.5]", [0, 1], []),
     ]),
-    # One run of zero pairs is cut.  A number with an exponent and one
-    # halfway between two doubles (2^53 + 1) go to json.loads.
-    "zero-run-cut": (1 << 18, [["0.0", "0.0"]] * 20 + [["1E5", "0.1"], ["2.5", "9007199254740993.0"]], ", ", [
-        (b"[1E5, 0.1], [2.5, 9007199254740993.0]", None, [b"1E5", b"9007199254740993.0"]),
+    # A run of zero pairs is passed over.  A number with an exponent and
+    # one halfway between two doubles (2^53 + 1) go to json.loads.
+    "zero-run": (1 << 18, [["0.0", "0.0"]] * 20 + [["1E5", "0.1"], ["2.5", "9007199254740993.0"]], ", ", [
+        (b"[0.0, 0.0], " * 20 + b"[1E5, 0.1], [2.5, 9007199254740993.0]", [20, 21],
+         [b"1E5", b"9007199254740993.0"]),
+    ]),
+    # Zero pairs 0, 2 and 3 of 5, as in a relabelled matrix; 1E5 and -0,
+    # an integer, go to json.loads.
+    "scattered-zero-pairs": (1 << 18, [["0.0", "0.0"], ["1E5", "2.5"], ["0.0", "0.0"], ["0.0", "0.0"],
+                                       ["0.1", "-0"]], ", ", [
+        (b"[0.0, 0.0], [1E5, 2.5], [0.0, 0.0], [0.0, 0.0], [0.1, -0]", [1, 4], [b"1E5", b"-0"]),
     ]),
 }
 
@@ -1394,33 +1417,35 @@ class TestCanonicalMatrixText:
                 mock.patch.object(matrix_core, "_segment_numbers", wraps=segment_numbers) as read, \
                 mock.patch.object(json, "loads", wraps=json.loads) as parse:
             got = _matrix_from_text(text)
-        handed = [(c.args[0], None if c.args[2] is None else np.flatnonzero(c.args[2]).tolist())
-                  for c in read.call_args_list]
-        assert handed == [(seg, zero) for seg, zero, _ in expected]
+        handed = [(c.args[0], c.args[2].tolist()) for c in read.call_args_list]
+        assert handed == [(seg, pairs_read) for seg, pairs_read, _ in expected]
         if not matrix_core._EXTRA_BITS:
-            # Every number of a pair not passed over goes to json.loads.
-            expected = [(seg, zero, [number for i, pair in enumerate(re.findall(rb"\[([^\]]*)\]", seg))
-                                     if i not in (zero or []) for number in pair.split(b", ")])
-                        for seg, zero, _ in expected]
+            # Every number of a pair read goes to json.loads.
+            expected = [(seg, pairs_read, [number for i, pair in enumerate(re.findall(rb"\[([^\]]*)\]", seg))
+                                           if i in pairs_read for number in pair.split(b", ")])
+                        for seg, pairs_read, _ in expected]
         assert [c.args[0] for c in parse.call_args_list] == [
             b"[" + b",".join(numbers) + b"]" for _, _, numbers in expected if numbers]
         assert got.tobytes() == matrix_from_json(json.loads(text)).tobytes()
 
     def test_decode_peak_is_result_plus_six_mib(self):
-        # A 500x500 3-cyclic matrix, two thirds zero pairs.  Whole-text
+        # A 500x500 3-cyclic matrix, two thirds zero pairs, in block order
+        # (long zero runs) and relabelled (zeros scattered).  Whole-text
         # temporaries put the traced peak at about 3.6 times the text.
+        # Each segment's marks and indices cover its zero pairs too.
         rng = np.random.default_rng(0)
         sizes = (166, 167, 167)
         a = assemble_blocks([helpers.unit_disk((sizes[i], sizes[(i + 1) % 3]), rng) for i in range(3)])
-        text = json.dumps(matrix_to_json(a)).encode()
-        tracemalloc.start()
-        try:
-            got = _matrix_from_text(text)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.tobytes() == a.tobytes()
-        assert peak <= got.nbytes + 6 * 2**20, (len(text), peak)
+        for layout in (a, apply_vertex_permutation(a, rng.permutation(500) + 1)):
+            text = json.dumps(matrix_to_json(layout)).encode()
+            tracemalloc.start()
+            try:
+                got = _matrix_from_text(text)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert got.tobytes() == layout.tobytes()
+            assert peak <= got.nbytes + 6 * 2**20, (len(text), peak)
 
 
 class TestCanonicalMatrixTextInJson(TestCanonicalMatrixText):

@@ -1,6 +1,7 @@
 """``scripts/decode_check.py`` checks the text decoder on every matrix file
-of the benchmark's inputs; on the smoke-test sizes it must find them all
-identical, within the memory bound and read in numpy."""
+of the benchmark's inputs and on one relabelled matrix with scattered
+zero pairs; on the smoke-test sizes it must find them all identical,
+within the memory bound and read in numpy."""
 
 import subprocess
 import sys
@@ -24,4 +25,6 @@ def test_decode_check_tiny():
     assert h5 and h5[0].startswith("  h5.json: 100x100, 80% of pairs skipped, identical; ")
     assert "; 100.000% of numbers in numpy; " in h5[0]
     assert "decode peak" in h5[0]
+    assert "relabelled 2-cyclic seed=0:" in lines
+    assert any(line.startswith("  scattered.json: 500x500, 50% of pairs skipped, identical; ") for line in lines)
     assert lines[-1] == "total: 0 mismatches"
